@@ -377,12 +377,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large |x|
+    # (1 + tanh(x/2)) / 2 cannot overflow and saturates to exactly 0 and 1;
+    # every step writes one preallocated buffer, which also keeps a 0-d input
+    # an array (a bare ufunc would return a numpy scalar)
     out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -391,7 +393,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bw(g):
         s = out.data
-        return (g * s * (1.0 - s),)
+        ds = 1.0 - s
+        ds *= s
+        return (g * ds,)
 
     return _record("sigmoid", out, (a,), bw)
 
@@ -411,7 +415,11 @@ def silu(a: Tensor) -> Tensor:
 
     def bw(g):
         # d/dx x*sig(x) = sig(x) * (1 + x * (1 - sig(x)))
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+        ds = 1.0 - s
+        ds *= a.data
+        ds += 1.0
+        ds *= s
+        return (g * ds,)
 
     return _record("silu", out, (a,), bw)
 
@@ -604,19 +612,102 @@ def _conv_windows(xp: np.ndarray, k: int, stride: int, dilation: int) -> np.ndar
 
 def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
            bias: Optional[Tensor] = None) -> Tensor:
-    """Grouped/strided/dilated 2-D convolution (windowed-matmul fast path)."""
+    """Grouped/strided/dilated 2-D convolution.
+
+    Depthwise specs run as k*k shifted multiply-adds, unpadded stride-1 dense
+    1x1 specs as one batched matmul, and every other spec as an einsum over
+    the input's sliding windows.
+    """
     _check_conv_args(x, weight, spec, bias)
+    if spec.depthwise:
+        out_data, conv_bw = _conv_depthwise(x, weight, spec)
+    elif (spec.kernel == 1 and spec.stride == 1 and spec.groups == 1
+          and spec.padding == 0):
+        out_data, conv_bw = _conv_pointwise(x, weight)
+    else:
+        out_data, conv_bw = _conv_windowed(x, weight, spec)
+    if bias is not None:
+        out_data += bias.data.reshape(1, spec.out_channels, 1, 1)
+    out = Tensor(out_data)
+
+    def bw(g):
+        gx, gw = conv_bw(g)
+        if bias is None:
+            return gx, gw
+        return gx, gw, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _record("conv2d", out, parents, bw)
+
+
+def _tap_slice(ki: int, li: int, spec: Conv2dSpec, ho: int, wo: int) -> tuple:
+    """Index of the padded-input pixels that kernel tap (ki, li) multiplies."""
+    d, s = spec.dilation, spec.stride
+    return (slice(None), slice(None),
+            slice(ki * d, ki * d + s * ho, s), slice(li * d, li * d + s * wo, s))
+
+
+def _conv_depthwise(x: Tensor, weight: Tensor, spec: Conv2dSpec):
     n, c, h, w = x.shape
-    k, s, d, p, grp = spec.kernel, spec.stride, spec.dilation, spec.padding, spec.groups
+    k, p = spec.kernel, spec.padding
+    ho, wo = spec.out_size(h), spec.out_size(w)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    taps = [(ki, li) for ki in range(k) for li in range(k)]
+    wk = weight.data[:, 0, :, :, None, None]     # [C, K, K, 1, 1]
+    out_data = np.zeros((n, c, ho, wo), dtype=x.data.dtype)
+    tmp = np.empty_like(out_data)
+    for ki, li in taps:
+        np.multiply(xp[_tap_slice(ki, li, spec, ho, wo)], wk[:, ki, li], out=tmp)
+        out_data += tmp
+
+    def bw(g):
+        gx = gw = None
+        if weight.requires_grad:
+            gw = np.empty_like(weight.data)
+            for ki, li in taps:
+                gw[:, 0, ki, li] = np.einsum(
+                    "nchw,nchw->c", xp[_tap_slice(ki, li, spec, ho, wo)], g)
+        if x.requires_grad:
+            gxp = np.zeros(xp.shape, dtype=g.dtype)
+            tmp = np.empty_like(g)
+            for ki, li in taps:
+                np.multiply(g, wk[:, ki, li], out=tmp)
+                gxp[_tap_slice(ki, li, spec, ho, wo)] += tmp
+            gx = np.ascontiguousarray(gxp[:, :, p:p + h, p:p + w]) if p else gxp
+        return gx, gw
+
+    return out_data, bw
+
+
+def _conv_pointwise(x: Tensor, weight: Tensor):
+    n, c, h, w = x.shape
+    wmat = weight.data[:, :, 0, 0]               # [Cout, C]
+    x3 = x.data.reshape(n, c, h * w)
+    out_data = np.matmul(wmat, x3).reshape(n, -1, h, w)
+
+    def bw(g):
+        g3 = g.reshape(n, -1, h * w)
+        gx = gw = None
+        if weight.requires_grad:
+            gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(
+                weight.data.shape)
+        if x.requires_grad:
+            gx = np.matmul(wmat.T, g3).reshape(x.data.shape)
+        return gx, gw
+
+    return out_data, bw
+
+
+def _conv_windowed(x: Tensor, weight: Tensor, spec: Conv2dSpec):
+    n, c, h, w = x.shape
+    k, p, grp = spec.kernel, spec.padding, spec.groups
     cout = spec.out_channels
     ho, wo = spec.out_size(h), spec.out_size(w)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = _conv_windows(xp, k, s, d)   # [N, C, Ho, Wo, K, K], a view
+    win = _conv_windows(xp, k, spec.stride, spec.dilation)   # [N, C, Ho, Wo, K, K]
     if grp == 1:
         out_data = np.einsum("nchwkl,ockl->nohw", win, weight.data, optimize=True)
-    elif spec.depthwise:
-        out_data = np.einsum("nchwkl,ckl->nchw", win, weight.data[:, 0], optimize=True)
     else:
         cg = c // grp
         win_g = win.reshape(n, grp, cg, ho, wo, k, k)
@@ -624,18 +715,12 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
         out_data = np.einsum("ngchwkl,gockl->ngohw", win_g, w_g,
                              optimize=True).reshape(n, cout, ho, wo)
     out_data = np.ascontiguousarray(out_data)
-    if bias is not None:
-        out_data += bias.data.reshape(1, cout, 1, 1)
-    out = Tensor(out_data)
 
     def bw(g):
-        gx = gw = gb = None
+        gx = gw = None
         if weight.requires_grad:
             if grp == 1:
                 gw = np.einsum("nchwkl,nohw->ockl", win, g, optimize=True)
-            elif spec.depthwise:
-                gw = np.einsum("nchwkl,nchw->ckl", win, g,
-                               optimize=True)[:, None, :, :]
             else:
                 cg = c // grp
                 win_g = win.reshape(n, grp, cg, ho, wo, k, k)
@@ -645,40 +730,30 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
             gw = np.ascontiguousarray(gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            if grp == 1:
-                wmat = weight.data
-            else:
+            if grp > 1:
                 w_g = weight.data.reshape(grp, cout // grp, c // grp, k, k)
                 g_g = g.reshape(n, grp, cout // grp, ho, wo)
             for ki in range(k):
                 for li in range(k):
                     if grp == 1:
-                        t = np.einsum("nohw,oc->nchw", g, wmat[:, :, ki, li],
+                        t = np.einsum("nohw,oc->nchw", g, weight.data[:, :, ki, li],
                                       optimize=True)
-                    elif spec.depthwise:
-                        t = g * weight.data[:, 0, ki, li].reshape(1, c, 1, 1)
                     else:
                         t = np.einsum("ngohw,goc->ngchw", g_g, w_g[:, :, :, ki, li],
                                       optimize=True).reshape(n, c, ho, wo)
-                    gxp[:, :, ki * d: ki * d + s * ho: s,
-                        li * d: li * d + s * wo: s] += t
+                    gxp[_tap_slice(ki, li, spec, ho, wo)] += t
             gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
             gx = np.ascontiguousarray(gx)
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        return gx, gw, gb
+        return gx, gw
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    if bias is None:
-        return _record("conv2d", out, parents, lambda g: bw(g)[:2])
-    return _record("conv2d", out, parents, bw)
+    return out_data, bw
 
 
 def conv2d_direct(x: Tensor, weight: Tensor, spec: Conv2dSpec,
                   bias: Optional[Tensor] = None) -> Tensor:
     """Direct-summation reference convolution (forward only, no graph).
 
-    Slow by design; used to cross-check the windowed fast path.
+    Slow by design; used to cross-check the fast paths of :func:`conv2d`.
     """
     _check_conv_args(x, weight, spec, bias)
     n, c, h, w = x.shape
@@ -773,25 +848,33 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         mean = state.mean.astype(x.data.dtype, copy=False)
         var = state.var.astype(x.data.dtype, copy=False)
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-    out = Tensor(gamma.data.reshape(1, c, 1, 1) * xhat +
-                 beta.data.reshape(1, c, 1, 1))
+    scale = (gamma.data * invstd).reshape(1, c, 1, 1)
+    shift = beta.data.reshape(1, c, 1, 1) - mean.reshape(1, c, 1, 1) * scale
+    out_data = x.data * scale
+    out_data += shift
+    out = Tensor(out_data)
 
     def bw(g):
-        gxh = g * gamma.data.reshape(1, c, 1, 1)
+        sum_g = g.sum(axis=axes)
+        sum_g_xhat = xhat = None
+        if gamma.requires_grad or (training and x.requires_grad):
+            xhat = x.data - mean.reshape(1, c, 1, 1)
+            xhat *= invstd.reshape(1, c, 1, 1)
+            sum_g_xhat = np.einsum("nchw,nchw->c", g, xhat)
         gx = None
         if x.requires_grad:
             if training:
-                # gradient through the batch statistics
-                sum_gxh = gxh.sum(axis=axes)
-                sum_gxh_xhat = (gxh * xhat).sum(axis=axes)
-                gx = (gxh - (sum_gxh / m).reshape(1, c, 1, 1)
-                      - xhat * (sum_gxh_xhat / m).reshape(1, c, 1, 1))
-                gx = gx * invstd.reshape(1, c, 1, 1)
+                # gradient through the batch statistics, built in xhat's buffer:
+                # gamma*invstd * (g - mean(g) - xhat * mean(g*xhat))
+                gx = xhat
+                gx *= -(sum_g_xhat / m).reshape(1, c, 1, 1)
+                gx += g
+                gx -= (sum_g / m).reshape(1, c, 1, 1)
+                gx *= scale
             else:
-                gx = gxh * invstd.reshape(1, c, 1, 1)
-        ggamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
-        gbeta = g.sum(axis=axes) if beta.requires_grad else None
+                gx = g * scale
+        ggamma = sum_g_xhat if gamma.requires_grad else None
+        gbeta = sum_g if beta.requires_grad else None
         return gx, ggamma, gbeta
 
     return _record("batchnorm2d", out, (x, gamma, beta), bw)

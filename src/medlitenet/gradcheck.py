@@ -195,8 +195,10 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     conv_cases = [
         ("conv3x3", ad.Conv2dSpec(4, 5, 3), (2, 4, 8, 8)),
         ("conv1x1", ad.Conv2dSpec(6, 4, 1), (2, 6, 5, 5)),
+        ("conv1x1_nonsquare", ad.Conv2dSpec(5, 3, 1), (2, 5, 4, 7)),
         ("conv_s2_d2", ad.Conv2dSpec(3, 4, 3, stride=2, dilation=2), (1, 3, 8, 8)),
         ("conv_depthwise", ad.Conv2dSpec(6, 6, 3, groups=6, stride=2), (2, 6, 8, 8)),
+        ("conv_depthwise_s1", ad.Conv2dSpec(6, 6, 3, groups=6), (2, 6, 7, 9)),
         ("conv_grouped", ad.Conv2dSpec(6, 4, 3, groups=2), (1, 6, 7, 7)),
     ]
     for name, spec, xshape in conv_cases:

@@ -52,6 +52,11 @@ class TestConv2d:
         (Conv2dSpec(6, 6, 3, groups=6), (2, 6, 6, 6)),
         (Conv2dSpec(6, 4, 3, groups=2, stride=2, dilation=2), (1, 6, 9, 9)),
         (Conv2dSpec(3, 7, 1), (2, 3, 5, 5)),
+        (Conv2dSpec(4, 4, 3, groups=4), (2, 4, 7, 9)),
+        (Conv2dSpec(5, 5, 3, groups=5, stride=2), (1, 5, 9, 7)),
+        (Conv2dSpec(4, 4, 3, groups=4, dilation=2), (1, 4, 9, 9)),
+        (Conv2dSpec(3, 7, 1), (2, 3, 5, 8)),
+        (Conv2dSpec(4, 6, 1, stride=2), (1, 4, 7, 9)),
     ])
     def test_fast_path_matches_direct(self, spec, shape):
         r = rng(3)
@@ -61,6 +66,26 @@ class TestConv2d:
         fast = ad.conv2d(x, w, spec, bias)
         ref = ad.conv2d_direct(x, w, spec, bias)
         assert np.abs(fast.data - ref.data).max() < 1e-5
+
+    @pytest.mark.parametrize("spec,path", [
+        (Conv2dSpec(6, 6, 3, groups=6), "_conv_depthwise"),
+        (Conv2dSpec(6, 6, 3, groups=6, stride=2, dilation=2), "_conv_depthwise"),
+        (Conv2dSpec(3, 7, 1), "_conv_pointwise"),
+        (Conv2dSpec(4, 6, 1, stride=2), "_conv_windowed"),
+        (Conv2dSpec(4, 6, 1, padding=1), "_conv_windowed"),
+        (Conv2dSpec(5, 4, 3), "_conv_windowed"),
+        (Conv2dSpec(6, 4, 3, groups=2), "_conv_windowed"),
+    ])
+    def test_dispatch(self, spec, path, monkeypatch):
+        taken = []
+        for name in ("_conv_depthwise", "_conv_pointwise", "_conv_windowed"):
+            def spy(*args, _name=name, _real=getattr(ad, name)):
+                taken.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(ad, name, spy)
+        x = Tensor(np.ones((1, spec.in_channels, 5, 6), np.float32))
+        ad.conv2d(x, Tensor(np.ones(spec.weight_shape, np.float32)), spec)
+        assert taken == [path]
 
     def test_weight_count_decomposition(self):
         dense = Conv2dSpec(16, 16, 3)
@@ -121,6 +146,19 @@ class TestBatchNorm:
                              BatchNormState.initial(1), training=True)
         assert np.abs(out.data).max() < 1e-4
 
+    def test_eval_matches_textbook_formula(self):
+        r = rng(6)
+        x = Tensor(r.normal(2.0, 3.0, (2, 4, 5, 3)))
+        gamma = r.uniform(0.5, 1.5, 4)
+        beta = r.uniform(-1, 1, 4)
+        state = BatchNormState(mean=r.uniform(-2, 4, 4), var=r.uniform(0.2, 9, 4))
+        out = ad.batchnorm2d(x, Tensor(gamma), Tensor(beta), state, training=False)
+        col = (1, 4, 1, 1)
+        ref = (gamma.reshape(col) * (x.data - state.mean.reshape(col))
+               / np.sqrt(state.var.reshape(col) + 1e-5) + beta.reshape(col))
+        assert out.dtype == np.float64
+        assert np.abs(out.data - ref).max() < 1e-6
+
     def test_running_stats_update(self):
         state = BatchNormState.initial(2)
         x = Tensor(rng(2).normal(3.0, 2.0, (8, 2, 4, 4)).astype(np.float32))
@@ -147,6 +185,13 @@ class TestActivations:
         assert out.data[0] == pytest.approx(1.0)
         assert out.data[1] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_exactly(self, dtype):
+        with np.errstate(all="raise"):
+            out = ad.sigmoid(Tensor(np.array([1e4, -1e4], dtype)))
+        assert out.data[0] == 1.0
+        assert out.data[1] == 0.0
+
     def test_activation_dispatch(self):
         x = Tensor(np.array([0.5], np.float32))
         assert ad.activation(x, "relu").item() == 0.5
@@ -171,6 +216,72 @@ class TestActivations:
     def test_uniform_row(self):
         out = ad.softmax(Tensor(np.full((4,), 1.7, np.float32)), 0)
         assert np.allclose(out.data, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# kernels that work in preallocated or reused buffers
+# ---------------------------------------------------------------------------
+
+def _bn(training):
+    def op(x):
+        c = x.shape[1]
+        gamma = Tensor(np.linspace(0.5, 1.5, c).astype(x.dtype), requires_grad=True)
+        beta = Tensor(np.linspace(-1, 1, c).astype(x.dtype), requires_grad=True)
+        state = BatchNormState(mean=np.linspace(-1, 1, c).astype(x.dtype),
+                               var=np.linspace(0.5, 2, c).astype(x.dtype))
+        return ad.batchnorm2d(x, gamma, beta, state, training=training)
+    return op
+
+
+def _conv(spec):
+    def op(x):
+        w = np.linspace(-1, 1, spec.weight_count()).reshape(spec.weight_shape)
+        bias = np.linspace(-1, 1, spec.out_channels)
+        return ad.conv2d(x, Tensor(w.astype(x.dtype), requires_grad=True), spec,
+                         Tensor(bias.astype(x.dtype), requires_grad=True))
+    return op
+
+
+KERNELS = {
+    "sigmoid": ad.sigmoid,
+    "silu": ad.silu,
+    "batchnorm_train": _bn(True),
+    "batchnorm_eval": _bn(False),
+    "conv_depthwise": _conv(Conv2dSpec(4, 4, 3, groups=4)),
+    "conv_depthwise_s2": _conv(Conv2dSpec(4, 4, 3, groups=4, stride=2)),
+    "conv_1x1": _conv(Conv2dSpec(4, 3, 1)),
+}
+
+
+class TestKernelBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_input_untouched_and_dtype_kept(self, kernel, dtype):
+        data = rng(7).uniform(-3, 3, (2, 4, 5, 6)).astype(dtype)
+        before = data.copy()
+        x = Tensor(data, requires_grad=True)
+        with Graph() as g:
+            out = KERNELS[kernel](x)
+            weights = Tensor(rng(8).uniform(0.5, 1.5, out.shape).astype(dtype))
+            backward(ad.tsum(ad.mul(out, weights)), g)
+        assert x.data is data
+        assert data.tobytes() == before.tobytes()
+        assert out.dtype == dtype
+        assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", [ad.sigmoid, ad.silu])
+    def test_zero_dim_input(self, op, dtype):
+        data = np.array(0.75, dtype)
+        x = Tensor(data, requires_grad=True)
+        with Graph() as g:
+            out = op(x)
+            backward(out, g)
+        assert isinstance(out.data, np.ndarray)
+        assert out.data.shape == ()
+        assert out.dtype == dtype
+        assert data == dtype(0.75)
+        assert np.isfinite(x.grad)
 
 
 # ---------------------------------------------------------------------------
