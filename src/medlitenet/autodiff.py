@@ -615,9 +615,10 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
            bias: Optional[Tensor] = None) -> Tensor:
     """Grouped/strided/dilated 2-D convolution.
 
-    Depthwise specs run as k*k shifted multiply-adds, unpadded stride-1 dense
-    1x1 specs as one batched matmul, and every other spec as an einsum over
-    the input's sliding windows.
+    Depthwise specs run as k*k multiply-adds per channel block on the
+    input's stride phases, unpadded stride-1 dense 1x1 specs as one batched
+    matmul, and every other spec as an einsum over the input's sliding
+    windows.
     """
     _check_conv_args(x, weight, spec, bias)
     if spec.depthwise:
@@ -648,33 +649,108 @@ def _tap_slice(ki: int, li: int, spec: Conv2dSpec, ho: int, wo: int) -> tuple:
             slice(ki * d, ki * d + s * ho, s), slice(li * d, li * d + s * wo, s))
 
 
+# Scratch bytes of one depthwise channel block: small enough to stay in L2.
+_DW_BLOCK_BYTES = 1 << 20
+
+
+def _phase_rows(a: int, s: int, p: int, size: int) -> tuple:
+    """Rows of stride phase ``a`` that hold input rows, and those input rows.
+
+    Phase ``a`` holds padded rows a, a+s, a+2s, ...; padded row y is input
+    row y-p.
+    """
+    r0 = -((a - p) // s)                         # first phase row with y >= p
+    y0 = s * r0 + a - p
+    return slice(r0, r0 + len(range(y0, size, s))), slice(y0, size, s)
+
+
+def _channel_blocks(n: int, c: int, channel_bytes: int) -> tuple:
+    """Channel-block size and the slices of C that one call works through."""
+    m = max(1, min(c, _DW_BLOCK_BYTES // (n * channel_bytes)))
+    return m, [slice(c0, min(c0 + m, c)) for c0 in range(0, c, m)]
+
+
+def _block_view(buf: np.ndarray, n: int, mb: int, *shape) -> np.ndarray:
+    """The first n*mb*prod(shape) elements of a flat scratch buffer, shaped."""
+    return buf[:n * mb * int(np.prod(shape))].reshape(n, mb, *shape)
+
+
 def _conv_depthwise(x: Tensor, weight: Tensor, spec: Conv2dSpec):
+    """Depthwise conv, one block of channels at a time, on stride phases.
+
+    Each block of the input is copied into s*s zero-bordered phases
+    [n, m, s*s, hq, wq] of its padded image.  Tap (ki, li) then reads phase
+    (ki*d mod s, li*d mod s) as one contiguous run of ``span`` elements,
+    laid out at row width wq; the wq-wo columns past each output row are
+    dropped when a block is copied out.  Backward rebuilds the phases from
+    ``x``, so no padded copy stays on the tape.
+    """
     n, c, h, w = x.shape
-    k, p = spec.kernel, spec.padding
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
     ho, wo = spec.out_size(h), spec.out_size(w)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    taps = [(ki, li) for ki in range(k) for li in range(k)]
-    wk = weight.data[:, 0, :, :, None, None]     # [C, K, K, 1, 1]
-    out_data = np.zeros((n, c, ho, wo), dtype=x.data.dtype)
-    tmp = np.empty_like(out_data)
-    for ki, li in taps:
-        np.multiply(xp[_tap_slice(ki, li, spec, ho, wo)], wk[:, ki, li], out=tmp)
-        out_data += tmp
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    ss, span, dt = s * s, (ho - 1) * wq + wo, x.data.dtype
+    taps = [(ki, li, (ki * d % s) * s + li * d % s, (ki * d // s) * wq + li * d // s)
+            for ki in range(k) for li in range(k)]
+    fills = [(a * s + b, _phase_rows(a, s, p, h), _phase_rows(b, s, p, w))
+             for a in range(s) for b in range(s)]
+    wt = weight.data[:, 0]                        # [C, K, K]
+
+    def load_phases(ph, cb):
+        for q, (rq, rx), (cq, cx) in fills:
+            ph[:, :, q, rq, cq] = x.data[:, cb, rx, cx]
+        return ph.reshape(ph.shape[0], ph.shape[1], ss, hq * wq)
+
+    m, blocks = _channel_blocks(n, c, dt.itemsize * (ss * hq * wq + ho * wq + span))
+    ph_buf = np.zeros(n * m * ss * hq * wq, dt)   # borders stay zero across blocks
+    acc_buf = np.empty(n * m * ho * wq, dt)
+    tmp_buf = np.empty(n * m * span, dt)
+    out_data = np.empty((n, c, ho, wo), dt)
+    for cb in blocks:
+        mb = cb.stop - cb.start
+        phf = load_phases(_block_view(ph_buf, n, mb, ss, hq, wq), cb)
+        acc = _block_view(acc_buf, n, mb, ho * wq)
+        tmp = _block_view(tmp_buf, n, mb, span)
+        ki, li, q, off = taps[0]
+        np.multiply(phf[:, :, q, off:off + span], wt[cb, ki, li, None],
+                    out=acc[:, :, :span])
+        for ki, li, q, off in taps[1:]:
+            np.multiply(phf[:, :, q, off:off + span], wt[cb, ki, li, None], out=tmp)
+            acc[:, :, :span] += tmp
+        out_data[:, cb] = acc.reshape(n, mb, ho, wq)[:, :, :, :wo]
 
     def bw(g):
         gx = gw = None
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
-            for ki, li in taps:
-                gw[:, 0, ki, li] = np.einsum(
-                    "nchw,nchw->c", xp[_tap_slice(ki, li, spec, ho, wo)], g)
         if x.requires_grad:
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
-            tmp = np.empty_like(g)
-            for ki, li in taps:
-                np.multiply(g, wk[:, ki, li], out=tmp)
-                gxp[_tap_slice(ki, li, spec, ho, wo)] += tmp
-            gx = np.ascontiguousarray(gxp[:, :, p:p + h, p:p + w]) if p else gxp
+            gx = np.empty(x.data.shape, dtype=g.dtype)
+        m, blocks = _channel_blocks(
+            n, c, g.dtype.itemsize * (2 * ss * hq * wq + ho * wq + span))
+        gq_buf = np.zeros(n * m * ho * wq, g.dtype)  # columns past wo stay zero
+        ph_buf = np.zeros(n * m * ss * hq * wq, dt) if gw is not None else None
+        gph_buf = np.empty(n * m * ss * hq * wq, g.dtype) if gx is not None else None
+        tmp_buf = np.empty(n * m * span, g.dtype)
+        for cb in blocks:
+            mb = cb.stop - cb.start
+            gq = _block_view(gq_buf, n, mb, ho, wq)
+            gq[:, :, :, :wo] = g[:, cb]
+            gqf = gq.reshape(n, mb, ho * wq)[:, :, :span]
+            if gw is not None:
+                phf = load_phases(_block_view(ph_buf, n, mb, ss, hq, wq), cb)
+                for ki, li, q, off in taps:
+                    gw[cb, 0, ki, li] = np.einsum(
+                        "nct,nct->c", phf[:, :, q, off:off + span], gqf)
+            if gx is not None:
+                gph = _block_view(gph_buf, n, mb, ss, hq, wq)
+                gph.fill(0)
+                gphf = gph.reshape(n, mb, ss, hq * wq)
+                tmp = _block_view(tmp_buf, n, mb, span)
+                for ki, li, q, off in taps:
+                    np.multiply(gqf, wt[cb, ki, li, None], out=tmp)
+                    gphf[:, :, q, off:off + span] += tmp
+                for q, (rq, rx), (cq, cx) in fills:
+                    gx[:, cb, rx, cx] = gph[:, :, q, rq, cq]
         return gx, gw
 
     return out_data, bw

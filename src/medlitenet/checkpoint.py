@@ -156,6 +156,17 @@ def read_checkpoint(path) -> tuple:
     return payload, tensors
 
 
+def _stored(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """The stored tensor ``name``, which must exist and have ``shape``."""
+    if name not in tensors:
+        raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+    if tensors[name].shape != shape:
+        raise CheckpointError(
+            f"tensor {name!r} has shape {tensors[name].shape}, model "
+            f"expects {shape}")
+    return tensors[name]
+
+
 def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tuple:
     """Rebuild the model from a checkpoint.
 
@@ -177,16 +188,10 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tupl
 
     model = MedLiteNet(config, seed=int(payload.get("seed", 0)))
     for name, p in model.named_parameters():
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        if tensors[name].shape != p.data.shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {tensors[name].shape}, model "
-                f"expects {p.data.shape}")
-        p.data = tensors[name]
+        p.data = _stored(tensors, name, p.data.shape)
     for name, state in model.named_states():
-        state.mean = tensors[name + ".running_mean"]
-        state.var = tensors[name + ".running_var"]
+        state.mean = _stored(tensors, name + ".running_mean", state.mean.shape)
+        state.var = _stored(tensors, name + ".running_var", state.var.shape)
 
     ema_shadow = {name[len("ema/"):]: arr for name, arr in tensors.items()
                   if name.startswith("ema/")} or None

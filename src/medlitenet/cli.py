@@ -248,7 +248,7 @@ def _eval_rows_from_dirs(pred_dir: Path, gt_dir: Path):
 def _eval_rows_from_model(predict_fn, dataset_dir, threshold):
     for name, sample in load_dataset_dir(dataset_dir):
         prob = predict_fn(_prepare_input_batch(sample.image))
-        yield name, predict_mask(prob[0, 0], threshold), sample.mask
+        yield name, predict_mask(prob[0], threshold), sample.mask   # [1,H,W]
 
 
 def cmd_eval(args) -> int:

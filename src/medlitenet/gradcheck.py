@@ -192,16 +192,7 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     run("matmul_rhs", lambda t: w_mm(ad.matmul(m1, t)), m2)
 
     # convolution variants, each w.r.t. input, weight and bias
-    conv_cases = [
-        ("conv3x3", ad.Conv2dSpec(4, 5, 3), (2, 4, 8, 8)),
-        ("conv1x1", ad.Conv2dSpec(6, 4, 1), (2, 6, 5, 5)),
-        ("conv1x1_nonsquare", ad.Conv2dSpec(5, 3, 1), (2, 5, 4, 7)),
-        ("conv_s2_d2", ad.Conv2dSpec(3, 4, 3, stride=2, dilation=2), (1, 3, 8, 8)),
-        ("conv_depthwise", ad.Conv2dSpec(6, 6, 3, groups=6, stride=2), (2, 6, 8, 8)),
-        ("conv_depthwise_s1", ad.Conv2dSpec(6, 6, 3, groups=6), (2, 6, 7, 9)),
-        ("conv_grouped", ad.Conv2dSpec(6, 4, 3, groups=2), (1, 6, 7, 7)),
-    ]
-    for name, spec, xshape in conv_cases:
+    def run_conv(name, spec, xshape):
         x = _rand(rng, xshape)
         w = Tensor(rng.uniform(-1, 1, size=spec.weight_shape))
         bias = Tensor(rng.uniform(-0.5, 0.5, size=(spec.out_channels,)))
@@ -214,6 +205,14 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
             r(ad.conv2d(xx, t, s, bb)), w)
         run(f"{name}_b", lambda t, s=spec, xx=x, ww=w, r=w_out:
             r(ad.conv2d(xx, ww, s, t)), bias)
+
+    run_conv("conv3x3", ad.Conv2dSpec(4, 5, 3), (2, 4, 8, 8))
+    run_conv("conv1x1", ad.Conv2dSpec(6, 4, 1), (2, 6, 5, 5))
+    run_conv("conv1x1_nonsquare", ad.Conv2dSpec(5, 3, 1), (2, 5, 4, 7))
+    run_conv("conv_s2_d2", ad.Conv2dSpec(3, 4, 3, stride=2, dilation=2), (1, 3, 8, 8))
+    run_conv("conv_depthwise", ad.Conv2dSpec(6, 6, 3, groups=6, stride=2), (2, 6, 8, 8))
+    run_conv("conv_depthwise_s1", ad.Conv2dSpec(6, 6, 3, groups=6), (2, 6, 7, 9))
+    run_conv("conv_grouped", ad.Conv2dSpec(6, 4, 3, groups=2), (1, 6, 7, 7))
 
     # batchnorm through the batch statistics
     xbn = _rand(rng, (3, 4, 5, 5))
@@ -251,6 +250,9 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     # pad 3 is wider than the 2-row map: edge padding is still defined there
     w_pad = _weigher(rng, (1, 3, 8, 11))
     run("pad_edge", lambda t: w_pad(ad.pad_edge(t, 3)), _rand(rng, (1, 3, 2, 5)))
+    # odd map, stride 2 and dilation 2: every tap of a row reads the same phase
+    run_conv("conv_depthwise_s2_d2",
+             ad.Conv2dSpec(4, 4, 3, groups=4, stride=2, dilation=2), (2, 4, 9, 7))
     return checks
 
 

@@ -65,7 +65,8 @@ class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
 
     Normalization affine parameters (flagged ``decay_exempt``) are excluded
-    from the decay term.  A NaN gradient aborts the step, naming the tensor.
+    from the decay term.  A non-finite (NaN or inf) gradient aborts the step
+    before any weight changes, naming the tensor.
     """
 
     def __init__(self, named_params: Sequence[tuple], lr: float = 1e-3,
@@ -84,15 +85,17 @@ class AdamW:
 
     def step(self, lr: Optional[float] = None):
         lr = self.lr if lr is None else lr
+        for name, p in self.named_params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(
+                    f"non-finite gradient in parameter {name!r}; step "
+                    f"{self.step_count + 1} aborted")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.named_params:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if np.isnan(g).any():
-                raise NumericalError(f"NaN gradient in parameter {name!r}; "
-                                     f"step {t} aborted")
             m = self.exp_avg[name]
             v = self.exp_avg_sq[name]
             m += (1.0 - self.beta1) * (g - m)

@@ -1,5 +1,7 @@
 """Tensor-core op semantics: spec examples and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,69 @@ class TestConv2d:
         a = ad.conv2d(x, w, spec).data
         b = ad.conv2d(x, w, spec).data
         assert np.array_equal(a, b)
+
+
+def _run_conv_kernel(kernel, spec, x, w, g):
+    out, bw = kernel(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), spec)
+    return (out, *bw(g))
+
+
+class TestDepthwiseBlocks:
+    @pytest.mark.parametrize("spec,shape", [
+        (Conv2dSpec(7, 7, 3, groups=7), (1, 7, 9, 11)),
+        (Conv2dSpec(7, 7, 3, groups=7, stride=2), (1, 7, 9, 7)),
+        (Conv2dSpec(7, 7, 3, groups=7, dilation=2), (1, 7, 9, 9)),
+        (Conv2dSpec(7, 7, 3, groups=7, stride=2, dilation=2), (1, 7, 11, 13)),
+        (Conv2dSpec(7, 7, 3, groups=7, stride=2), (3, 7, 8, 10)),
+        (Conv2dSpec(1, 1, 3, padding=0), (2, 1, 7, 6)),   # boundary Laplacian
+    ])
+    def test_blocks_match_windowed(self, spec, shape, monkeypatch):
+        r = rng(11)
+        x = r.uniform(-2, 2, shape)
+        w = r.uniform(-1, 1, spec.weight_shape)
+        g = r.uniform(-1, 1, (shape[0], shape[1], spec.out_size(shape[2]),
+                              spec.out_size(shape[3])))
+        calls = []
+
+        def spy(n, c, channel_bytes, _real=ad._channel_blocks):
+            m, blocks = _real(n, c, channel_bytes)
+            calls.append((n * channel_bytes, m, blocks))
+            return m, blocks
+
+        monkeypatch.setattr(ad, "_channel_blocks", spy)
+        _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
+        # room for two channels of backward scratch, and two or three of the
+        # smaller forward scratch: 7 channels end in a short block either way
+        monkeypatch.setattr(ad, "_DW_BLOCK_BYTES", 2 * max(b for b, _, _ in calls))
+        calls.clear()
+        got = _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
+        want = _run_conv_kernel(ad._conv_windowed, spec, x, w, g)
+        if shape[1] > 1:
+            assert len(calls) == 2
+            for _, m, blocks in calls:
+                assert len(blocks) > 1
+                assert blocks[-1].stop - blocks[-1].start < m
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_node_keeps_no_padded_copy(self):
+        r = rng(12)
+        x = Tensor(r.standard_normal((2, 32, 96, 96)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(r.standard_normal((32, 1, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Graph() as g:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ad.conv2d(x, w, Conv2dSpec(32, 32, 3, groups=32))
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(g.nodes) == 1
+        # a padded copy of x (2.4 MiB) would exceed this
+        assert kept <= out.data.nbytes + ad._DW_BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
