@@ -4,6 +4,9 @@ The engine is tape-based: while a :class:`Graph` is active, every operation
 appends a node holding the operands and a backward closure.  ``backward``
 walks the tape in exact reverse append order and accumulates gradients
 (``+=``) into the ``grad`` buffer of every leaf tensor that requires them.
+A tape lives until its ``Graph`` block exits: ``backward`` may run on it any
+number of times inside the block, and on exit the tape is unlinked so that
+reference counting frees its activations and closures at once.
 
 Layout convention is NCHW for 4-D tensors, row-major, float32 by default.
 All ops are dtype-preserving so the gradient-check harness can run the same
@@ -192,6 +195,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.exited = False
 
     def __enter__(self):
         _GRAPH_STACK.append(self)
@@ -199,6 +203,13 @@ class Graph:
 
     def __exit__(self, exc_type, exc, tb):
         _GRAPH_STACK.pop()
+        # out.creator -> node -> out and node.graph -> graph -> nodes are
+        # cycles; without them the tape is freed when the graph is dropped,
+        # not when the cyclic collector next reaches it
+        for node in self.nodes:
+            node.out.creator = None
+            node.graph = None
+        self.exited = True
         return False
 
     def backward(self, loss: Tensor):
@@ -233,7 +244,7 @@ def backward(loss: Tensor, graph: Optional[Graph] = None):
     """Accumulate d(loss)/d(leaf) into ``grad`` for every requires_grad leaf.
 
     Repeated calls without zeroing add up, so two passes yield exactly twice
-    the single-pass gradient.
+    the single-pass gradient.  The graph's block must still be open.
     """
     if loss.data.size != 1:
         raise AutodiffError(
@@ -242,6 +253,9 @@ def backward(loss: Tensor, graph: Optional[Graph] = None):
         if loss.creator is None:
             raise AutodiffError("loss tensor is not attached to any graph")
         graph = loss.creator.graph
+    if graph.exited:
+        raise AutodiffError("backward on a Graph whose block has exited: its "
+                            "tape is unlinked, so run backward inside the block")
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     if loss.creator is None or loss.creator.graph is not graph:
         # degenerate: the loss is itself a leaf

@@ -16,14 +16,13 @@ under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from typing import Optional
 
 import numpy as np
 
 from .model import ConfigError, MedLiteNet, ModelConfig
+from .netpbm import atomic_write
 
 MAGIC = b"MLN1"
 FORMAT_VERSION = 1
@@ -78,17 +77,7 @@ def save_checkpoint(model: MedLiteNet, path, *, ema_shadow: Optional[dict] = Non
             struct.pack("<I", len(entries))]
     body.extend(_encode_tensor(name, arr) for name, arr in entries)
 
-    path = os.fspath(path)
-    dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(body))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, b"".join(body))
 
 
 class _Reader:

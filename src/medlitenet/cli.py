@@ -257,30 +257,29 @@ def cmd_eval(args) -> int:
             f"--threshold must lie in [0, 1], got {args.threshold}")
     if args.pred_dir and args.gt_dir:
         rows = _eval_rows_from_dirs(Path(args.pred_dir), Path(args.gt_dir))
-    elif args.ensemble and args.dataset:
-        models, dices = [], []
-        for path in args.ensemble:
-            model, extras = load_checkpoint(path)
-            model.eval()
-            stored = extras["meta"].get("best_val_dice")
-            if stored is None:
-                raise ConfigError(
-                    f"checkpoint {path} has no stored best_val_dice; cannot "
-                    f"weight the ensemble")
-            models.append(model)
-            dices.append(float(stored))
+    elif (args.ensemble or args.ckpt) and args.dataset:
+        if args.ensemble:
+            models, dices = [], []
+            for path in args.ensemble:
+                model, extras = load_checkpoint(path)
+                model.eval()
+                stored = extras["meta"].get("best_val_dice")
+                if stored is None:
+                    raise ConfigError(
+                        f"checkpoint {path} has no stored best_val_dice; "
+                        f"cannot weight the ensemble")
+                models.append(model)
+                dices.append(float(stored))
 
-        def predict(batch, _models=models, _dices=dices):
-            return ensemble_predict(_models, _dices, batch)
-
-        rows = _eval_rows_from_model(predict, args.dataset, args.threshold)
-    elif args.ckpt and args.dataset:
-        model, _ = load_checkpoint(args.ckpt)
-        model.eval()
-        if args.tta:
-            predict = lambda batch: tta_predict(model, batch)   # noqa: E731
+            def predict(batch, _models=models, _dices=dices):
+                return ensemble_predict(_models, _dices, batch)
         else:
+            model, _ = load_checkpoint(args.ckpt)
+            model.eval()
             predict = lambda batch: model(Tensor(batch)).data   # noqa: E731
+        if args.tta:
+            plain = predict
+            predict = lambda batch: tta_predict(plain, batch)   # noqa: E731
         rows = _eval_rows_from_model(predict, args.dataset, args.threshold)
     else:
         raise ConfigError(

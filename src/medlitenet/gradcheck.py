@@ -56,9 +56,8 @@ def finite_diff_gradcheck(f: Callable[[Tensor], Tensor], x: Tensor,
                             "(two evaluations differ)")
 
     leaf = Tensor(x.data.copy(), requires_grad=True)
-    with Graph() as graph:
-        loss = f(leaf)
-        backward(loss, graph)
+    with Graph():
+        backward(f(leaf))
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
     flat = x.data.reshape(-1)

@@ -73,7 +73,7 @@ def save_image_ppm(path, image: np.ndarray) -> None:
         raise ValueError(f"expected [3, H, W] image, got shape {arr.shape}")
     data = quantize_u8(arr).transpose(1, 2, 0)
     header = f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii")
-    _atomic_write(path, header + data.tobytes())
+    atomic_write(path, header + data.tobytes())
 
 
 def load_mask_pgm(path) -> np.ndarray:
@@ -105,7 +105,7 @@ def save_mask_pgm(path, mask: np.ndarray) -> None:
         raise ValueError("mask values must be strictly 0/1")
     data = (arr.astype(np.uint8) * 255)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + data.tobytes())
+    atomic_write(path, header + data.tobytes())
 
 
 def save_gray_pgm(path, values: np.ndarray) -> None:
@@ -116,7 +116,7 @@ def save_gray_pgm(path, values: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError(f"expected [H, W] map, got shape {arr.shape}")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + quantize_u8(arr).tobytes())
+    atomic_write(path, header + quantize_u8(arr).tobytes())
 
 
 def quantize_u8(arr: np.ndarray) -> np.ndarray:
@@ -125,13 +125,21 @@ def quantize_u8(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def atomic_write(path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temporary file and a rename.
+
+    The file gets the mode a plain ``open`` gives (0o666 less the umask);
+    ``mkstemp`` alone would leave it readable by its owner only.
+    """
     path = os.fspath(path)
     dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".pnm.tmp")
+    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

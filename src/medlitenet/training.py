@@ -325,7 +325,9 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                     batch = [augment(s, aug_cfg, seed=config.seed + 1_000_003 * epoch)
                              for s in batch]
                 images, masks = batch_arrays(batch)
-                with Graph() as graph:
+                # no name binds the graph, so its tape is freed on exit,
+                # before the optimizer step
+                with Graph():
                     probs = model(Tensor(images))
                     loss = total_loss(probs, Tensor(masks), loss_config)
                     loss_val = loss.item()
@@ -333,7 +335,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                         raise NumericalError(
                             f"non-finite loss {loss_val} at optimizer step "
                             f"{opt_steps} (lr={lr:.3e})")
-                    backward(loss, graph)
+                    backward(loss)
                 step_losses.append(loss_val)
                 epoch_losses.append(loss_val * len(batch))
                 hard = predict_mask(probs)

@@ -1,6 +1,8 @@
 """Tensor-core op semantics: spec examples and invariants."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -482,3 +484,35 @@ class TestBackward:
         with Graph() as g:
             backward(ad.tsum(ad.mul(x, x)), g)   # both operands are x
         assert x.grad[0] == pytest.approx(6.0)
+
+    def test_backward_after_exit_raises(self):
+        x = Tensor(np.array([3.0], np.float32), requires_grad=True)
+        with Graph() as g:
+            loss = ad.tsum(ad.mul(x, x))
+        with pytest.raises(ad.AutodiffError, match="exited"):
+            backward(loss, g)
+        with pytest.raises(ad.AutodiffError, match="not attached"):
+            backward(loss)
+        assert x.grad is None and loss.grad is None
+
+    def test_tape_freed_without_cyclic_collector(self):
+        r = rng(3)
+        x = Tensor(r.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(r.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        gc.disable()
+        try:
+            with Graph():
+                conv = ad.conv2d(x, w, Conv2dSpec(3, 4, 3))
+                y = ad.silu(ad.batchnorm2d(conv, gamma, beta,
+                                           BatchNormState.initial(4), True))
+                backward(ad.tsum(y))
+            alive = weakref.ref(conv.data)
+            del conv, y
+            # reference counting alone must free the tape and its activations
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert w.grad is not None

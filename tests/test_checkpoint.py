@@ -1,4 +1,8 @@
-"""Loading checkpoints whose BatchNorm statistics are missing or mis-shaped."""
+"""Checkpoint file modes, and loading checkpoints whose BatchNorm statistics
+are missing or mis-shaped."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -56,3 +60,15 @@ def test_stats_round_trip(tmp_path):
     for (_, a), (_, b) in zip(model.named_states(), loaded.named_states()):
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var, b.var)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_file_mode_follows_umask(tmp_path, umask):
+    path = tmp_path / "m.ckpt"
+    old = os.umask(umask)
+    try:
+        checkpoint.save_checkpoint(_micro(), path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -1,5 +1,8 @@
 """Synthetic generator, netpbm I/O, normalization, augmentation, splits."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,17 @@ class TestNetpbm:
         first = path.read_bytes()
         save_mask_pgm(path, load_mask_pgm(path))
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_file_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "m.pgm"
+        old = os.umask(umask)
+        try:
+            save_mask_pgm(path, synth_sample(2, 64).mask)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pgm"]
 
     def test_pgm_payload_decoding(self, tmp_path):
         path = tmp_path / "tiny.pgm"

@@ -1,0 +1,46 @@
+"""The assembled network: output contract, determinism and parameter budget."""
+
+import numpy as np
+import pytest
+
+from medlitenet.autodiff import Tensor
+from medlitenet.model import PARAM_GROUPS, MedLiteNet, ModelConfig
+
+
+def _image(h, w, seed=0):
+    return np.random.default_rng(seed).standard_normal((2, 3, h, w)).astype(np.float32)
+
+
+@pytest.mark.parametrize("h,w", [(64, 64), (64, 96)])
+def test_output_is_a_probability_map_of_the_input_size(h, w):
+    net = MedLiteNet(ModelConfig.micro(64), seed=0)
+    for set_mode in (net.train, net.eval):
+        set_mode()
+        out = net(Tensor(_image(h, w)))
+        assert out.shape == (2, 1, h, w)
+        assert out.dtype == np.float32
+        assert np.isfinite(out.data).all()
+        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+
+
+def test_weights_and_outputs_follow_config_and_seed():
+    config = ModelConfig.micro(64)
+    a, b = MedLiteNet(config, seed=3), MedLiteNet(config, seed=3)
+    other = MedLiteNet(config, seed=4)
+    pa, pb, po = (list(m.named_parameters()) for m in (a, b, other))
+    assert [n for n, _ in pa] == [n for n, _ in pb]
+    assert all(np.array_equal(x.data, y.data) for (_, x), (_, y) in zip(pa, pb))
+    assert not all(np.array_equal(x.data, y.data) for (_, x), (_, y) in zip(pa, po))
+    image = _image(64, 64)
+    for net in (a, b):
+        net.eval()
+    assert np.array_equal(a(Tensor(image)).data, b(Tensor(image)).data)
+
+
+def test_default_parameter_budget():
+    counts = MedLiteNet(ModelConfig(), seed=0).count_parameters()
+    assert counts["total"] == 3_547_671
+    assert tuple(counts["breakdown"]) == PARAM_GROUPS
+    assert len(PARAM_GROUPS) == 12
+    assert all(n > 0 for n in counts["breakdown"].values())
+    assert sum(counts["breakdown"].values()) == counts["total"]
