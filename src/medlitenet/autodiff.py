@@ -424,17 +424,22 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), bw)
 
 
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # d/dx x*sig(x) = sig(x) * (1 + x * (1 - sig(x))), times g, in one buffer
+    ds = 1.0 - s
+    ds *= x
+    ds += 1.0
+    ds *= s
+    ds *= g
+    return ds
+
+
 def silu(a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
     out = Tensor(a.data * s)
 
     def bw(g):
-        # d/dx x*sig(x) = sig(x) * (1 + x * (1 - sig(x)))
-        ds = 1.0 - s
-        ds *= a.data
-        ds += 1.0
-        ds *= s
-        return (g * ds,)
+        return (_silu_grad(g, a.data, s),)
 
     return _record("silu", out, (a,), bw)
 
@@ -911,11 +916,17 @@ class BatchNormState:
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+                training: bool, momentum: float = 0.1, eps: float = 1e-5,
+                silu: bool = False) -> Tensor:
+    """Per-channel batch normalization over (N, H, W), optionally then SiLU.
 
     Train mode normalizes with biased batch statistics and updates the running
     stats in place; eval mode uses the stored running stats.
+
+    ``silu=True`` returns ``silu(batchnorm2d(...))`` as one node that keeps
+    only ``x``: backward recomputes the normalized map and its sigmoid with
+    the forward's float ops, so output, gradients and running stats equal the
+    two-op chain bit for bit while the tape holds two fewer full-size arrays.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4-D NCHW, got rank {x.ndim}")
@@ -941,11 +952,18 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     invstd = 1.0 / np.sqrt(var + eps)
     scale = (gamma.data * invstd).reshape(1, c, 1, 1)
     shift = beta.data.reshape(1, c, 1, 1) - mean.reshape(1, c, 1, 1) * scale
-    out_data = x.data * scale
-    out_data += shift
+
+    def normalized():
+        z = x.data * scale
+        z += shift
+        return z
+
+    out_data = normalized()
+    if silu:
+        out_data *= _stable_sigmoid(out_data)
     out = Tensor(out_data)
 
-    def bw(g):
+    def bn_bw(g):
         sum_g = g.sum(axis=axes)
         sum_g_xhat = xhat = None
         if gamma.requires_grad or (training and x.requires_grad):
@@ -968,7 +986,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         gbeta = sum_g if beta.requires_grad else None
         return gx, ggamma, gbeta
 
-    return _record("batchnorm2d", out, (x, gamma, beta), bw)
+    def silu_bn_bw(g):
+        z = normalized()
+        gz = _silu_grad(g, z, _stable_sigmoid(z))
+        del z   # before BN backward allocates its own full-size buffers
+        return bn_bw(gz)
+
+    return _record("batchnorm2d", out, (x, gamma, beta),
+                   silu_bn_bw if silu else bn_bw)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,11 @@ class BatchNorm2d(Module):
         self.beta.decay_exempt = True
         self.register_state("stats", BatchNormState.initial(channels))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, silu: bool = False) -> Tensor:
+        """BatchNorm of ``x``; ``silu=True`` fuses the SiLU that follows."""
         return batchnorm2d(x, self.gamma, self.beta, self.stats,
                            training=self.training, momentum=self.momentum,
-                           eps=self.eps)
+                           eps=self.eps, silu=silu)
 
     __call__ = forward
 
@@ -204,7 +205,7 @@ class ConvBnSiLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return silu(self.bn(self.conv(x)))
+        return self.bn(self.conv(x), silu=True)
 
     __call__ = forward
 
@@ -220,7 +221,7 @@ class SeparableConvBlock(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return silu(self.bn(self.pointwise(self.depthwise(x))))
+        return self.bn(self.pointwise(self.depthwise(x)), silu=True)
 
     __call__ = forward
 
@@ -259,8 +260,8 @@ class MBConvBlock(Module):
             raise ShapeError(
                 f"MBConv: input has {x.shape[1]} channels, block expects "
                 f"{self.in_channels}")
-        h = silu(self.bn1(self.expand(x)))
-        h = silu(self.bn2(self.depthwise(h)))
+        h = self.bn1(self.expand(x), silu=True)
+        h = self.bn2(self.depthwise(h), silu=True)
         h = self.bn3(self.project(h))           # no activation after projection
         if self.use_skip:
             h = h + x

@@ -16,6 +16,8 @@ under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Optional
 
@@ -41,7 +43,8 @@ def _named_tensors(model: MedLiteNet) -> list:
     return entries
 
 
-def _encode_tensor(name: str, arr: np.ndarray) -> bytes:
+def _tensor_chunks(name: str, arr: np.ndarray):
+    """The header of one tensor record, then its data as a buffer, not a copy."""
     data = np.ascontiguousarray(arr, dtype="<f4")
     name_b = name.encode("utf-8")
     if len(name_b) > 0xFFFF:
@@ -49,13 +52,17 @@ def _encode_tensor(name: str, arr: np.ndarray) -> bytes:
     head = struct.pack("<H", len(name_b)) + name_b
     head += struct.pack("<BB", _DTYPE_F32, data.ndim)
     head += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
-    return head + data.tobytes()
+    return head, data
 
 
 def save_checkpoint(model: MedLiteNet, path, *, ema_shadow: Optional[dict] = None,
                     optimizer_state: Optional[dict] = None,
                     meta: Optional[dict] = None) -> None:
-    """Serialize model (+ optional EMA / optimizer state) atomically."""
+    """Serialize model (+ optional EMA / optimizer state) atomically.
+
+    Tensors are written one at a time from their own buffers, so saving
+    allocates no more than the largest tensor needing a float32 cast.
+    """
     payload = {
         "config": model.config.to_dict(),
         "seed": model.seed,
@@ -72,27 +79,60 @@ def save_checkpoint(model: MedLiteNet, path, *, ema_shadow: Optional[dict] = Non
             entries.append(("opt/exp_avg_sq/" + name, arr))
 
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-            struct.pack("<I", len(blob)), blob,
-            struct.pack("<I", len(entries))]
-    body.extend(_encode_tensor(name, arr) for name, arr in entries)
 
-    atomic_write(path, b"".join(body))
+    def chunks():
+        yield MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob))
+        yield blob
+        yield struct.pack("<I", len(entries))
+        for name, arr in entries:
+            yield from _tensor_chunks(name, arr)
+
+    atomic_write(path, chunks())
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Reads a checkpoint in order, checking each length against the file."""
+
+    def __init__(self, fh):
+        self.fh = fh
         self.pos = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _truncated(self, n: int, what: str) -> CheckpointError:
+        return CheckpointError(
+            f"truncated checkpoint: needed {n} bytes for {what} at byte "
+            f"offset {self.pos}, file has {self.size}")
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(
-                f"truncated checkpoint: needed {n} bytes for {what} at byte "
-                f"offset {self.pos}, file has {len(self.buf)}")
-        out = self.buf[self.pos:self.pos + n]
+        if n > self.size - self.pos:
+            raise self._truncated(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise self._truncated(n, what)
         self.pos += n
         return out
+
+    def array(self, dims: tuple, what: str) -> np.ndarray:
+        """A float32 array of shape ``dims`` read straight into its buffer."""
+        n = 4 * math.prod(dims)
+        if n > self.size - self.pos:
+            raise self._truncated(n, what)
+        try:
+            arr = np.empty(dims, dtype="<f4")
+        except ValueError as exc:
+            raise CheckpointError(f"invalid shape {dims} for {what}: {exc}") from exc
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
+            raise self._truncated(n, what)
+        self.pos += n
+        return arr
+
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{what} at byte offset {self.pos - n} is not utf-8: {exc}") from exc
 
     def u8(self, what):
         return self.take(1, what)[0]
@@ -108,40 +148,44 @@ class _Reader:
 
 
 def read_checkpoint(path) -> tuple:
-    """Parse a checkpoint file into (payload dict, {name: array})."""
+    """Parse a checkpoint file into (payload dict, {name: array}).
+
+    Every malformed file raises ``CheckpointError``; each tensor is read into
+    its own array once its byte count is known to fit in the file.
+    """
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise CheckpointError(
-            f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}")
-    version = r.u32("version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} at byte offset 4")
-    json_len = r.u32("json length")
-    try:
-        payload = json.loads(r.take(json_len, "json payload").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"invalid json payload: {exc}") from exc
-    count = r.u32("tensor count")
-    tensors = {}
-    for i in range(count):
-        name_len = r.u16(f"name length of tensor {i}")
-        name = r.take(name_len, f"name of tensor {i}").decode("utf-8")
-        dtype = r.u8(f"dtype of {name}")
-        if dtype != _DTYPE_F32:
+        r = _Reader(fh)
+        magic = r.take(4, "magic")
+        if magic != MAGIC:
             raise CheckpointError(
-                f"unknown dtype code {dtype} for tensor {name!r} at byte "
-                f"offset {r.pos - 1}")
-        rank = r.u8(f"rank of {name}")
-        dims = tuple(r.u64(f"dim {d} of {name}") for d in range(rank))
-        n_items = int(np.prod(dims)) if dims else 1
-        raw = r.take(4 * n_items, f"data of {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    if r.pos != len(r.buf):
-        raise CheckpointError(
-            f"{len(r.buf) - r.pos} trailing bytes at byte offset {r.pos}")
+                f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}")
+        version = r.u32("version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version} at byte offset 4")
+        json_len = r.u32("json length")
+        try:
+            payload = json.loads(r.text(json_len, "json payload"))
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"invalid json payload: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CheckpointError("json payload is not an object")
+        count = r.u32("tensor count")
+        tensors = {}
+        for i in range(count):
+            name_len = r.u16(f"name length of tensor {i}")
+            name = r.text(name_len, f"name of tensor {i}")
+            dtype = r.u8(f"dtype of {name}")
+            if dtype != _DTYPE_F32:
+                raise CheckpointError(
+                    f"unknown dtype code {dtype} for tensor {name!r} at byte "
+                    f"offset {r.pos - 1}")
+            rank = r.u8(f"rank of {name}")
+            dims = tuple(r.u64(f"dim {d} of {name}") for d in range(rank))
+            tensors[name] = r.array(dims, f"data of {name}")
+        if r.pos != r.size:
+            raise CheckpointError(
+                f"{r.size - r.pos} trailing bytes at byte offset {r.pos}")
     return payload, tensors
 
 

@@ -252,6 +252,25 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     # odd map, stride 2 and dilation 2: every tap of a row reads the same phase
     run_conv("conv_depthwise_s2_d2",
              ad.Conv2dSpec(4, 4, 3, groups=4, stride=2, dilation=2), (2, 4, 9, 7))
+
+    # batchnorm with its SiLU fused into the node (drawn last, so the inputs
+    # of every check above stay as they were)
+    xbs = _rand(rng, (2, 3, 4, 5))
+    gbs = Tensor(rng.uniform(0.5, 1.5, size=3))
+    bbs = Tensor(rng.uniform(-0.5, 0.5, size=3))
+    w_bs = _weigher(rng, (2, 3, 4, 5))
+
+    def bn_silu_train(x_, g_, b_):
+        state = ad.BatchNormState.initial(3, dtype=np.float64)
+        return w_bs(ad.batchnorm2d(x_, g_, b_, state, training=True, silu=True))
+
+    run("batchnorm_silu_train_x", lambda t: bn_silu_train(t, gbs, bbs), xbs)
+    run("batchnorm_silu_train_gamma", lambda t: bn_silu_train(xbs, t, bbs), gbs)
+    run("batchnorm_silu_train_beta", lambda t: bn_silu_train(xbs, gbs, t), bbs)
+    bs_state = ad.BatchNormState(
+        mean=rng.uniform(-0.5, 0.5, 3), var=rng.uniform(0.5, 1.5, 3))
+    run("batchnorm_silu_eval_x", lambda t: w_bs(ad.batchnorm2d(
+        t, gbs, bbs, bs_state, training=False, silu=True)), xbs)
     return checks
 
 

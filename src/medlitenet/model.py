@@ -214,14 +214,6 @@ class MedLiteNet(Module):
         # the dominant negative class
         self.head.bias.data[:] = -2.0
 
-        # downsampling ledger: stem /2, each stage /2 -> /32 at the bottleneck
-        size = config.input_size
-        sizes = [size // 2]
-        for k in range(4):
-            sizes.append(size // 2 ** (k + 2))
-        assert sizes[-1] == size // DOWNSAMPLE_FACTOR and sizes[-1] >= 1
-        self._skip_channels = skip_channels
-
     # -- inference ----------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def save_image_ppm(path, image: np.ndarray) -> None:
         raise ValueError(f"expected [3, H, W] image, got shape {arr.shape}")
     data = quantize_u8(arr).transpose(1, 2, 0)
     header = f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii")
-    atomic_write(path, header + data.tobytes())
+    atomic_write(path, (header, np.ascontiguousarray(data)))
 
 
 def load_mask_pgm(path) -> np.ndarray:
@@ -105,7 +106,7 @@ def save_mask_pgm(path, mask: np.ndarray) -> None:
         raise ValueError("mask values must be strictly 0/1")
     data = (arr.astype(np.uint8) * 255)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write(path, header + data.tobytes())
+    atomic_write(path, (header, np.ascontiguousarray(data)))
 
 
 def save_gray_pgm(path, values: np.ndarray) -> None:
@@ -116,7 +117,7 @@ def save_gray_pgm(path, values: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError(f"expected [H, W] map, got shape {arr.shape}")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write(path, header + quantize_u8(arr).tobytes())
+    atomic_write(path, (header, np.ascontiguousarray(quantize_u8(arr))))
 
 
 def quantize_u8(arr: np.ndarray) -> np.ndarray:
@@ -125,8 +126,9 @@ def quantize_u8(arr: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` through a temporary file and a rename.
+def atomic_write(path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` in turn to ``path`` through a temporary
+    file and a rename, so that no copy of the whole file is built in memory.
 
     The file gets the mode a plain ``open`` gives (0o666 less the umask);
     ``mkstemp`` alone would leave it readable by its owner only.
@@ -136,7 +138,8 @@ def atomic_write(path, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

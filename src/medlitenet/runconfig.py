@@ -6,7 +6,7 @@ rejected with their full dotted path; CLI flags override individual keys.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -79,12 +79,33 @@ _SECTION_TYPES = {
     "paths": PathsConfig,
 }
 
-# fields whose dataclass default is a tuple (yaml gives lists)
-_TUPLE_FIELDS = {
-    ("model", "stage_widths"), ("model", "blocks_per_stage"),
-    ("model", "aspp_rates"), ("model", "decoder_widths"),
-    ("data", "difficulty_mix"), ("augment", "contrast"), ("augment", "gamma"),
-}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _checked(dotted: str, value, default):
+    """``value`` if it has the type of the field's ``default``, else ConfigError.
+
+    A tuple field takes a list of its default's element type, an int is a
+    valid float but a bool is no number, and a ``None`` default (an optional
+    path) takes a string or null.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config key {dotted} must be a list, got {value!r}")
+        return tuple(_checked(f"{dotted}[{i}]", v, default[0])
+                     for i, v in enumerate(value))
+    if default is None:
+        ok, name = value is None or isinstance(value, str), "a string or null"
+    else:
+        kind = type(default)
+        number = (int, float) if kind is float else kind
+        ok = isinstance(value, number) and (
+            kind is bool or not isinstance(value, bool))
+        name = _KIND_NAMES[kind]
+    if not ok:
+        raise ConfigError(f"config key {dotted} must be {name}, got {value!r}")
+    return value
 
 
 def _tuples_to_lists(obj):
@@ -120,19 +141,13 @@ def run_config_from_dict(raw: dict) -> RunConfig:
             body = {}
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        fields = {f.name for f in cls.__dataclass_fields__.values()}
-        for key in body:
-            if key not in fields:
-                raise ConfigError(
-                    f"config key {section}.{key!r} is not recognized")
+        defaults = {f.name: f.default for f in fields(cls)}
         coerced = {}
         for key, value in body.items():
-            if (section, key) in _TUPLE_FIELDS:
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(
-                        f"config key {section}.{key} must be a list")
-                value = tuple(value)
-            coerced[key] = value
+            if key not in defaults:
+                raise ConfigError(
+                    f"config key {section}.{key!r} is not recognized")
+            coerced[key] = _checked(f"{section}.{key}", value, defaults[key])
         try:
             kwargs[section] = cls(**coerced)
         except (TypeError, ValueError) as exc:

@@ -234,6 +234,47 @@ class TestBatchNorm:
         batch_mean = x.data.mean(axis=(0, 2, 3))
         assert np.allclose(state.mean, 0.1 * batch_mean, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_fused_silu_is_bitwise_the_two_op_chain(self, training, dtype):
+        r = rng(9)
+        data = r.normal(0.5, 2.0, (3, 4, 5, 6)).astype(dtype)
+        data[0, 0, 0, :3] = (40.0, -40.0, 0.0)    # saturated sigmoid, and zero
+        gamma = r.uniform(0.5, 1.5, 4).astype(dtype)
+        beta = r.uniform(-1, 1, 4).astype(dtype)
+        mean = r.uniform(-1, 1, 4).astype(dtype)
+        var = r.uniform(0.5, 2, 4).astype(dtype)
+        weights = Tensor(r.uniform(0.5, 1.5, data.shape).astype(dtype))
+        results = []
+        for fused in (True, False):
+            x = Tensor(data.copy(), requires_grad=True)
+            g = Tensor(gamma.copy(), requires_grad=True)
+            b = Tensor(beta.copy(), requires_grad=True)
+            state = BatchNormState(mean=mean.copy(), var=var.copy())
+            with Graph() as graph:
+                if fused:
+                    out = ad.batchnorm2d(x, g, b, state, training, silu=True)
+                else:
+                    out = ad.silu(ad.batchnorm2d(x, g, b, state, training))
+                backward(ad.tsum(ad.mul(out, weights)), graph)
+            results.append((out.data, x.grad, g.grad, b.grad, state.mean, state.var))
+        for fused, chain in zip(*results):
+            assert fused.dtype == chain.dtype == dtype
+            assert fused.tobytes() == chain.tobytes()
+
+    def test_fused_silu_is_one_batchnorm_node(self):
+        x = Tensor(rng(10).standard_normal((2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        with Graph() as g:
+            out = ad.batchnorm2d(x, gamma, beta, BatchNormState.initial(3), True,
+                                 silu=True)
+        (node,) = g.nodes
+        assert node.op == "batchnorm2d"
+        assert node.parents == (x, gamma, beta)
+        assert node.out is out
+
 
 # ---------------------------------------------------------------------------
 # activations / softmax
@@ -289,14 +330,14 @@ class TestActivations:
 # kernels that work in preallocated or reused buffers
 # ---------------------------------------------------------------------------
 
-def _bn(training):
+def _bn(training, silu=False):
     def op(x):
         c = x.shape[1]
         gamma = Tensor(np.linspace(0.5, 1.5, c).astype(x.dtype), requires_grad=True)
         beta = Tensor(np.linspace(-1, 1, c).astype(x.dtype), requires_grad=True)
         state = BatchNormState(mean=np.linspace(-1, 1, c).astype(x.dtype),
                                var=np.linspace(0.5, 2, c).astype(x.dtype))
-        return ad.batchnorm2d(x, gamma, beta, state, training=training)
+        return ad.batchnorm2d(x, gamma, beta, state, training=training, silu=silu)
     return op
 
 
@@ -314,6 +355,8 @@ KERNELS = {
     "silu": ad.silu,
     "batchnorm_train": _bn(True),
     "batchnorm_eval": _bn(False),
+    "batchnorm_silu_train": _bn(True, silu=True),
+    "batchnorm_silu_eval": _bn(False, silu=True),
     "conv_depthwise": _conv(Conv2dSpec(4, 4, 3, groups=4)),
     "conv_depthwise_s2": _conv(Conv2dSpec(4, 4, 3, groups=4, stride=2)),
     "conv_1x1": _conv(Conv2dSpec(4, 3, 1)),

@@ -1,5 +1,7 @@
 """Architectural block semantics: MBConv, transformer, fusion, BAA, ASPP, SCSE."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from medlitenet.autodiff import ShapeError, Tensor
 from medlitenet.blocks import (
     ASPPModule,
     BoundaryAttention,
+    ConvBnSiLU,
     FusionBlock,
     MBConvBlock,
     SCSEBlock,
@@ -25,6 +28,26 @@ def zero_all(module):
     for _, p in module.named_parameters():
         p.data[...] = 0.0
     return module
+
+
+class TestConvBnSiLU:
+    def test_tape_keeps_conv_output_and_unit_output_only(self):
+        # a 1x1 conv keeps nothing but its input, which exists before the unit
+        unit = ConvBnSiLU(8, 16, 1, rng(0))
+        x = Tensor(rng(1).standard_normal((4, 8, 96, 96)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with ad.Graph() as g:
+                start = tracemalloc.get_traced_memory()[0]
+                out = unit(x)
+                kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        conv_out = g.nodes[0].out
+        assert conv_out.shape == out.shape
+        # the unfused chain also kept the BN output and SiLU's sigmoid
+        assert kept <= conv_out.data.nbytes + out.data.nbytes + (1 << 20)
+        assert [node.op for node in g.nodes] == ["conv2d", "batchnorm2d"]
 
 
 class TestMBConv:

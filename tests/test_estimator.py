@@ -1,0 +1,63 @@
+"""The sklearn estimator contract of ``MedLiteNetSegmenter``."""
+
+import numpy as np
+import pytest
+
+from medlitenet.data import synth_sample
+from medlitenet.estimator import MedLiteNetSegmenter, NotFittedError
+
+
+@pytest.fixture(scope="module")
+def data():
+    samples = [synth_sample(i, 32) for i in range(5)]
+    X = np.stack([s.image for s in samples])
+    y = np.stack([s.mask for s in samples])
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def fitted(data):
+    return MedLiteNetSegmenter(epochs=1, batch_size=2, accumulation=1).fit(*data)
+
+
+def test_params_round_trip():
+    est = MedLiteNetSegmenter(trans_dim=64, epochs=3)
+    params = est.get_params()
+    assert params["trans_dim"] == 64 and params["epochs"] == 3
+    clone = MedLiteNetSegmenter(**params)
+    assert clone.get_params() == params
+    assert est.set_params(seed=7, use_tta=True) is est
+    assert est.get_params() == {**params, "seed": 7, "use_tta": True}
+
+
+def test_set_params_rejects_unknown_key():
+    est = MedLiteNetSegmenter()
+    with pytest.raises(ValueError, match="invalid parameter 'depth'"):
+        est.set_params(depth=3)
+    assert "depth" not in est.get_params()
+
+
+def test_predict_before_fit_raises(data):
+    est = MedLiteNetSegmenter()
+    for method in (est.predict_proba, est.predict):
+        with pytest.raises(NotFittedError, match="not fitted"):
+            method(data[0])
+    assert isinstance(NotFittedError("x"), (ValueError, AttributeError))
+
+
+def test_fit_returns_self_with_fitted_state(fitted):
+    assert {row["epoch"] for row in fitted.history_} == {0}
+    assert 0.0 <= fitted.best_val_dice_ <= 1.0
+    assert fitted.n_features_in_ == 3 * 32 * 32
+
+
+def test_prediction_shapes(fitted, data):
+    X, _ = data
+    proba = fitted.predict_proba(X)
+    assert proba.shape == (5, 1, 32, 32)
+    assert proba.dtype == np.float32
+    assert ((proba > 0) & (proba < 1)).all()
+    masks = fitted.predict(X)
+    assert masks.shape == (5, 32, 32)
+    assert set(np.unique(masks)) <= {0, 1}
+    assert fitted.predict(X[0]).shape == (1, 32, 32)
