@@ -11,6 +11,12 @@ reference counting frees its activations and closures at once.
 Layout convention is NCHW for 4-D tensors, row-major, float32 by default.
 All ops are dtype-preserving so the gradient-check harness can run the same
 code in float64.
+
+An op never writes into a tensor it was given; with no active Graph a unit
+may overwrite the conv output it created.  The unit marks that output with
+:func:`handover`, and ``batchnorm2d`` then writes its affine (and SiLU) into
+the conv output's own buffer instead of a fresh one.  Both destinations run
+the same element-wise float ops, so the result is bitwise the same.
 """
 
 from __future__ import annotations
@@ -229,6 +235,24 @@ def _lift(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+class _Handover(Tensor):
+    """A conv output that the unit which created it no longer reads."""
+
+    __slots__ = ()
+
+
+def handover(t: Tensor) -> Tensor:
+    """Let the next op write its result into ``t``'s buffer.
+
+    Only the unit that created ``t`` (a conv output it reads no more) may
+    call this.  Under an active Graph the tape may keep ``t``, so ``t`` comes
+    back unmarked.
+    """
+    if _active_graph() is not None or not t.data.flags.c_contiguous:
+        return t
+    return _Handover(t.data)
+
+
 def _record(op: str, out: Tensor, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     graph = _active_graph()
@@ -391,11 +415,12 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # Activations and softmax
 # ---------------------------------------------------------------------------
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # (1 + tanh(x/2)) / 2 cannot overflow and saturates to exactly 0 and 1;
     # every step writes one preallocated buffer, which also keeps a 0-d input
     # an array (a bare ufunc would return a numpy scalar)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
@@ -915,6 +940,32 @@ class BatchNormState:
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
 
+# Scratch bytes of one sigmoid chunk in _affine_silu.
+_SILU_CHUNK_BYTES = 1 << 18
+
+
+def _affine_silu(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                 silu: bool, out: np.ndarray) -> np.ndarray:
+    """``out = x*scale + shift``, then ``out *= sigmoid(out)`` if ``silu``.
+
+    ``out`` is C-contiguous with x's shape and may be ``x`` itself.  The
+    sigmoid runs chunk by chunk through one scratch buffer of at most
+    ``_SILU_CHUNK_BYTES``; each element sees the float ops it would see on
+    the whole array, so neither the destination nor the chunking changes a
+    bit of the result.
+    """
+    np.multiply(x, scale, out=out)
+    out += shift
+    if silu:
+        flat = out.reshape(-1)
+        step = max(1, _SILU_CHUNK_BYTES // out.itemsize)
+        scratch = np.empty(min(step, flat.size), out.dtype)
+        for i in range(0, flat.size, step):
+            chunk = flat[i:i + step]
+            chunk *= _stable_sigmoid(chunk, scratch[:chunk.size])
+    return out
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 training: bool, momentum: float = 0.1, eps: float = 1e-5,
                 silu: bool = False) -> Tensor:
@@ -927,6 +978,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     only ``x``: backward recomputes the normalized map and its sigmoid with
     the forward's float ops, so output, gradients and running stats equal the
     two-op chain bit for bit while the tape holds two fewer full-size arrays.
+
+    An ``x`` marked by :func:`handover` receives the output in its own buffer.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4-D NCHW, got rank {x.ndim}")
@@ -953,15 +1006,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     scale = (gamma.data * invstd).reshape(1, c, 1, 1)
     shift = beta.data.reshape(1, c, 1, 1) - mean.reshape(1, c, 1, 1) * scale
 
-    def normalized():
-        z = x.data * scale
-        z += shift
-        return z
+    dtype = np.result_type(x.data, scale)
 
-    out_data = normalized()
-    if silu:
-        out_data *= _stable_sigmoid(out_data)
-    out = Tensor(out_data)
+    def normalized():
+        return _affine_silu(x.data, scale, shift, False, np.empty(x.shape, dtype))
+
+    into_x = isinstance(x, _Handover) and x.data.dtype == dtype
+    out = Tensor(_affine_silu(x.data, scale, shift, silu,
+                              x.data if into_x else np.empty(x.shape, dtype)))
 
     def bn_bw(g):
         sum_g = g.sum(axis=axes)

@@ -23,6 +23,7 @@ from .autodiff import (
     conv2d,
     div,
     global_avg_pool,
+    handover,
     matmul,
     mul,
     pad_edge,
@@ -205,7 +206,7 @@ class ConvBnSiLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x), silu=True)
+        return self.bn(handover(self.conv(x)), silu=True)
 
     __call__ = forward
 
@@ -221,7 +222,7 @@ class SeparableConvBlock(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.pointwise(self.depthwise(x)), silu=True)
+        return self.bn(handover(self.pointwise(self.depthwise(x))), silu=True)
 
     __call__ = forward
 
@@ -260,9 +261,9 @@ class MBConvBlock(Module):
             raise ShapeError(
                 f"MBConv: input has {x.shape[1]} channels, block expects "
                 f"{self.in_channels}")
-        h = self.bn1(self.expand(x), silu=True)
-        h = self.bn2(self.depthwise(h), silu=True)
-        h = self.bn3(self.project(h))           # no activation after projection
+        h = self.bn1(handover(self.expand(x)), silu=True)
+        h = self.bn2(handover(self.depthwise(h)), silu=True)
+        h = self.bn3(handover(self.project(h)))  # no activation after projection
         if self.use_skip:
             h = h + x
         return h

@@ -229,20 +229,22 @@ def _eval_rows_from_dirs(pred_dir: Path, gt_dir: Path):
         raise FileNotFoundError(f"no .pgm masks found in {gt_dir}")
     pairs, missing = [], []
     for g in gts:
-        # same name, or the infer convention <name>_pred.pgm for <name>_mask.pgm
-        candidates = [pred_dir / g.name]
+        # same name, or the infer convention <name>_pred.pgm for <name>_mask.pgm;
+        # the row takes the image's name, as it does with --dataset
+        name, candidates = g.stem, [pred_dir / g.name]
         if g.name.endswith("_mask.pgm"):
-            candidates.append(pred_dir / g.name.replace("_mask.pgm", "_pred.pgm"))
+            name = g.name[:-len("_mask.pgm")]
+            candidates.append(pred_dir / f"{name}_pred.pgm")
         found = next((c for c in candidates if c.exists()), None)
         if found is None:
             missing.append(g.name)
         else:
-            pairs.append((g, found))
+            pairs.append((name, g, found))
     if missing:
         raise FileNotFoundError(
             f"prediction dir lacks matching files: {', '.join(missing)}")
-    for g, p in pairs:
-        yield g.stem, load_mask_pgm(p), load_mask_pgm(g)
+    for name, g, p in pairs:
+        yield name, load_mask_pgm(p), load_mask_pgm(g)
 
 
 def _eval_rows_from_model(predict_fn, dataset_dir, threshold):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import require
 from .netpbm import quantize_u8
 
 REGULAR = "regular"
@@ -253,16 +254,15 @@ class AugmentConfig:
     noise_sigma: float = 0.05          # sigma drawn from [0, s]
 
     def validate(self):
-        if not 0.0 <= self.brightness <= 0.2:
-            raise ValueError("brightness delta must lie in [0, 0.2]")
-        lo, hi = self.contrast
-        if not 0.8 <= lo <= hi <= 1.2:
-            raise ValueError("contrast range must lie within [0.8, 1.2]")
-        glo, ghi = self.gamma
-        if not 0.7 <= glo <= ghi <= 1.5:
-            raise ValueError("gamma range must lie within [0.7, 1.5]")
-        if not 0.0 <= self.noise_sigma <= 0.05:
-            raise ValueError("noise sigma must lie in [0, 0.05]")
+        require(0.0 <= self.brightness <= 0.2, "augment.brightness",
+                "must lie in [0, 0.2]", self.brightness)
+        for key, lo, hi in (("contrast", 0.8, 1.2), ("gamma", 0.7, 1.5)):
+            value = getattr(self, key)
+            require(len(value) == 2 and lo <= value[0] <= value[1] <= hi,
+                    f"augment.{key}", f"must be an ordered pair within [{lo}, {hi}]",
+                    value)
+        require(0.0 <= self.noise_sigma <= 0.05, "augment.noise_sigma",
+                "must lie in [0, 0.05]", self.noise_sigma)
         return self
 
     @classmethod
@@ -344,7 +344,10 @@ def generate_samples(specs, size: int) -> list:
 
 
 def load_dataset_dir(path) -> list:
-    """Read ``<name>.ppm`` + ``<name>_mask.pgm`` pairs from a directory."""
+    """Read ``<name>.ppm`` + ``<name>_mask.pgm`` pairs from a directory.
+
+    A sample's seed is its index in name order, which keys its augmentation.
+    """
     from .netpbm import load_image_ppm, load_mask_pgm
 
     root = Path(path)
@@ -359,9 +362,9 @@ def load_dataset_dir(path) -> list:
     if not images:
         raise FileNotFoundError(f"no .ppm images in {root}")
     out = []
-    for p in images:
+    for i, p in enumerate(images):
         image = load_image_ppm(p)
         mask = load_mask_pgm(root / f"{p.stem}_mask.pgm")
         out.append((p.stem, SegmentationSample(image=image, mask=mask,
-                                               seed=-1, difficulty=REGULAR)))
+                                               seed=i, difficulty=REGULAR)))
     return out

@@ -34,12 +34,9 @@ from .blocks import (
     Tokenizer,
     TransformerLayer,
 )
+from .errors import ConfigError, require
 
 DOWNSAMPLE_FACTOR = 32
-
-
-class ConfigError(ValueError):
-    """Raised when a model or run configuration is invalid."""
 
 
 def _round_width(width: float) -> int:
@@ -74,46 +71,40 @@ class ModelConfig:
         self.decoder_widths = tuple(self.decoder_widths)
 
     def validate(self):
-        def fail(fieldname, msg):
-            raise ConfigError(f"ModelConfig.{fieldname}: {msg}")
-
-        if self.in_channels < 1:
-            fail("in_channels", "must be >= 1")
-        if self.input_size % DOWNSAMPLE_FACTOR != 0 or self.input_size <= 0:
-            fail("input_size",
-                 f"must be a positive multiple of {DOWNSAMPLE_FACTOR}, "
-                 f"got {self.input_size}")
-        if len(self.stage_widths) != 4:
-            fail("stage_widths", "exactly four encoder stages are required")
-        if len(self.blocks_per_stage) != 4:
-            fail("blocks_per_stage", "exactly four encoder stages are required")
-        if any(w <= 0 for w in self.stage_widths):
-            fail("stage_widths", "widths must be positive")
-        if any(b < 1 for b in self.blocks_per_stage):
-            fail("blocks_per_stage", "each stage needs at least one block")
-        if self.expansion < 1:
-            fail("expansion", "must be >= 1")
-        if self.trans_layers < 1:
-            fail("trans_layers", "must be >= 1")
-        if self.trans_dim % self.trans_heads != 0:
-            fail("trans_dim",
-                 f"{self.trans_dim} not divisible by trans_heads={self.trans_heads}")
-        if self.trans_dim % 4 != 0:
-            fail("trans_dim", "must be a multiple of 4 for the 2-D positional "
-                 "encoding")
-        if len(self.aspp_rates) != 4 or any(r < 1 for r in self.aspp_rates):
-            fail("aspp_rates", "need four positive dilation rates")
-        if self.aspp_branch_width < 1 or self.aspp_out_channels < 1:
-            fail("aspp_branch_width", "branch/output widths must be positive")
-        if len(self.decoder_widths) != 4:
-            fail("decoder_widths", "exactly four decoder stages are required")
-        for w in self.scaled_decoder_widths():
-            if w % self.scse_reduction != 0:
-                fail("decoder_widths",
-                     f"width {w} not divisible by scse_reduction="
-                     f"{self.scse_reduction}")
-        if self.width_mult <= 0:
-            fail("width_mult", "must be positive")
+        require(self.in_channels >= 1, "model.in_channels", "must be >= 1",
+                self.in_channels)
+        require(self.input_size > 0 and self.input_size % DOWNSAMPLE_FACTOR == 0,
+                "model.input_size",
+                f"must be a positive multiple of {DOWNSAMPLE_FACTOR}", self.input_size)
+        require(len(self.stage_widths) == 4 and all(w > 0 for w in self.stage_widths),
+                "model.stage_widths", "must be four positive widths",
+                self.stage_widths)
+        require(len(self.blocks_per_stage) == 4
+                and all(b >= 1 for b in self.blocks_per_stage),
+                "model.blocks_per_stage", "must be four block counts >= 1",
+                self.blocks_per_stage)
+        for key in ("expansion", "trans_layers", "trans_heads", "aspp_branch_width",
+                    "aspp_out_channels", "scse_reduction"):
+            value = getattr(self, key)
+            require(value >= 1, f"model.{key}", "must be >= 1", value)
+        require(self.trans_dim % self.trans_heads == 0, "model.trans_dim",
+                f"must be divisible by model.trans_heads={self.trans_heads}",
+                self.trans_dim)
+        require(self.trans_dim % 4 == 0, "model.trans_dim",
+                "must be a multiple of 4 for the 2-D positional encoding",
+                self.trans_dim)
+        require(len(self.aspp_rates) == 4 and all(r >= 1 for r in self.aspp_rates),
+                "model.aspp_rates", "must be four dilation rates >= 1",
+                self.aspp_rates)
+        require(len(self.decoder_widths) == 4, "model.decoder_widths",
+                "must be four decoder widths", self.decoder_widths)
+        require(self.width_mult > 0, "model.width_mult", "must be positive",
+                self.width_mult)
+        scaled = self.scaled_decoder_widths()
+        require(all(w % self.scse_reduction == 0 for w in scaled),
+                "model.decoder_widths",
+                f"must scale to widths divisible by model.scse_reduction="
+                f"{self.scse_reduction}", scaled)
         return self
 
     def scaled_stage_widths(self) -> tuple:

@@ -6,13 +6,15 @@ rejected with their full dotted path; CLI flags override individual keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .data import AugmentConfig
-from .model import ConfigError, ModelConfig
+from .errors import ConfigError, require
+from .model import ModelConfig
 from .training import TrainConfig
 
 
@@ -26,14 +28,14 @@ class DataConfig:
     difficulty_mix: tuple = (0.6, 0.25, 0.15)
 
     def validate(self):
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigError("data: split sizes must be >= 1")
-        if self.size % 32 != 0 or self.size <= 0:
-            raise ConfigError(
-                f"data.size: must be a positive multiple of 32, got {self.size}")
-        if len(self.difficulty_mix) != 3 or any(m < 0 for m in self.difficulty_mix):
-            raise ConfigError("data.difficulty_mix: need three non-negative "
-                              "proportions")
+        for key in ("n_train", "n_val", "n_test"):
+            value = getattr(self, key)
+            require(value >= 1, f"data.{key}", "must be >= 1", value)
+        require(self.size > 0 and self.size % 32 == 0, "data.size",
+                "must be a positive multiple of 32", self.size)
+        mix = self.difficulty_mix
+        require(len(mix) == 3 and all(m >= 0 for m in mix), "data.difficulty_mix",
+                "must be three non-negative proportions", mix)
         return self
 
 
@@ -116,12 +118,28 @@ def _tuples_to_lists(obj):
     return obj
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats.
+
+    PyYAML follows YAML 1.1, where a float needs a dot and a signed
+    exponent, so ``1e-3``, ``1.5e3`` or ``.5E3`` would load as strings.
+    """
+
+
+# YAML 1.2 core-schema floats that carry an exponent; the forms without one
+# already resolve as YAML 1.1 floats or ints
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_run_config(path=None) -> RunConfig:
     """Parse a YAML config file; a missing/empty file gives the defaults."""
     raw = {}
     if path is not None:
         text = Path(path).read_text()
-        loaded = yaml.safe_load(text)
+        loaded = yaml.load(text, Loader=_Loader)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

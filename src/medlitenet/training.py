@@ -14,6 +14,7 @@ import numpy as np
 
 from .autodiff import Graph, Tensor, backward
 from .data import AugmentConfig, SegmentationSample, augment, normalize_imagenet
+from .errors import require
 from .losses import LossConfig, total_loss
 from .metrics import dice_coef, iou as iou_metric
 from .model import MedLiteNet, predict_mask
@@ -43,14 +44,16 @@ class TrainConfig:
     augment: bool = True
 
     def validate(self):
-        if min(self.batch_size, self.epochs, self.accumulation) < 1:
-            raise ValueError("batch_size, epochs and accumulation must be >= 1")
-        if min(self.lr0, self.lr_min, self.eps, self.clip_norm) <= 0:
-            raise ValueError("lr0, lr_min, eps and clip_norm must be positive")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        for key in ("batch_size", "epochs", "accumulation"):
+            value = getattr(self, key)
+            require(value >= 1, f"train.{key}", "must be >= 1", value)
+        for key in ("lr0", "lr_min", "eps", "clip_norm"):
+            value = getattr(self, key)
+            require(value > 0, f"train.{key}", "must be positive", value)
+        require(0.0 <= self.ema_decay < 1.0, "train.ema_decay",
+                "must lie in [0, 1)", self.ema_decay)
+        require(self.weight_decay >= 0, "train.weight_decay",
+                "must be non-negative", self.weight_decay)
         return self
 
     def to_dict(self):

@@ -188,6 +188,40 @@ class TestDepthwiseBlocks:
 # ---------------------------------------------------------------------------
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("silu", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_writes_only_into_a_handed_over_input(self, training, silu):
+        data = rng(3).uniform(-3, 3, (2, 4, 5, 6)).astype(np.float32)
+        gamma = Tensor(np.linspace(0.5, 1.5, 4).astype(np.float32))
+        beta = Tensor(np.linspace(-1, 1, 4).astype(np.float32))
+
+        def bn(x):
+            state = BatchNormState(np.linspace(-1, 1, 4).astype(np.float32),
+                                   np.linspace(0.5, 2, 4).astype(np.float32))
+            out = ad.batchnorm2d(x, gamma, beta, state, training=training,
+                                 silu=silu)
+            return out, state
+
+        given = data.copy()
+        fresh, fresh_state = bn(Tensor(given))
+        assert given.tobytes() == data.tobytes()          # an op's input
+        owned = data.copy()
+        handed = ad.handover(Tensor(owned))
+        assert handed.data is owned
+        out, state = bn(handed)
+        assert out.data is owned                           # a unit's own map
+        assert out.data.tobytes() == fresh.data.tobytes()
+        assert state.mean.tobytes() == fresh_state.mean.tobytes()
+        assert state.var.tobytes() == fresh_state.var.tobytes()
+
+    def test_no_handover_under_a_graph(self):
+        x = Tensor(np.ones((1, 2, 3, 3), np.float32))
+        with Graph():
+            assert ad.handover(x) is x
+        assert ad.handover(x) is not x
+        strided = Tensor(np.ones((1, 2, 3, 6), np.float32)[..., ::2])
+        assert ad.handover(strided) is strided
+
     def test_eval_identity_with_initial_stats(self):
         x = Tensor(rng(0).uniform(-2, 2, (2, 3, 4, 4)).astype(np.float32))
         out = ad.batchnorm2d(x, Tensor(np.ones(3, np.float32)),

@@ -51,6 +51,26 @@ class TestConvBnSiLU:
 
 
 class TestMBConv:
+    def test_untaped_eval_writes_into_its_conv_outputs(self):
+        # expansion 6 on 16 channels: the expand and depthwise outputs are
+        # the only full-width maps; BN, SiLU and the residual add go into
+        # them, with at most 1 MiB of sigmoid or depthwise scratch
+        blk = MBConvBlock(16, 16, rng(0), expansion=6, stride=1).eval()
+        x = Tensor(rng(1).standard_normal((1, 16, 96, 96)).astype(np.float32))
+        before = x.data.copy()
+        blk(x)                                   # warm the module's caches
+        wide = 96 * 96 * 96 * 4
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = blk(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= wide + wide + (1 << 20)
+        assert x.data.tobytes() == before.tobytes()
+        assert out.shape == x.shape
+
     def test_pure_skip_when_zeroed(self):
         blk = MBConvBlock(8, 8, rng(0), expansion=6, stride=1)
         for name, p in blk.named_parameters():

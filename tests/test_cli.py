@@ -1,9 +1,11 @@
-"""The `medlitenet eval` paths that run a model over a dataset directory."""
+"""The `medlitenet eval` paths that run a model over a dataset directory,
+and synth -> train -> infer -> eval end to end."""
 
 import pytest
 
 from medlitenet import checkpoint, cli
 from medlitenet.model import MedLiteNet, ModelConfig
+from medlitenet.runconfig import load_run_config
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +43,62 @@ def test_eval_model_on_dataset(mode, dataset, tmp_path, capsys, monkeypatch):
     assert lines[0].startswith("name,dice,iou")
     assert [line.split(",")[0] for line in lines[1:]] == [
         f"sample_{i:05d}" for i in range(3)]
+
+
+RUN_YAML = """model:
+  input_size: 32
+  stage_widths: [8, 16, 24, 32]
+  trans_layers: 1
+  trans_dim: 32
+  trans_heads: 4
+  aspp_branch_width: 16
+  aspp_out_channels: 32
+  decoder_widths: [16, 16, 16, 8]
+train: {epochs: 1, batch_size: 2, accumulation: 1, lr0: 2e-3, eps: 1e-8}
+"""
+
+
+def test_synth_train_infer_eval_end_to_end(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    names = [f"sample_{i:05d}" for i in range(4)]
+    assert cli.main(["synth", "--count", "4", "--size", "32", "--out",
+                     str(data)]) == 0
+    assert sorted(p.name for p in data.iterdir()) == sorted(
+        f"{n}{suffix}" for n in names for suffix in (".ppm", "_mask.pgm"))
+
+    (tmp_path / "run.yaml").write_text(RUN_YAML)
+    assert cli.main(["train", "--config", str(tmp_path / "run.yaml"),
+                     "--dataset", str(data), "--out", str(run)]) == 0
+    assert {"best.ckpt", "last.ckpt", "metrics.csv",
+            "config_resolved.yaml"} <= {p.name for p in run.iterdir()}
+    assert (run / "metrics.csv").read_text().splitlines()[0] == \
+        "epoch,split,loss,dice,iou,lr"
+    resolved = load_run_config(run / "config_resolved.yaml").train
+    assert (resolved.lr0, resolved.eps) == (2e-3, 1e-8)   # YAML 1.2 floats
+    ckpt = str(run / "best.ckpt")
+
+    plain, tta = tmp_path / "plain", tmp_path / "tta"
+    assert cli.main(["infer", "--ckpt", ckpt, "--input", str(data),
+                     "--out", str(plain)]) == 0
+    assert sorted(p.name for p in plain.iterdir()) == [f"{n}_pred.pgm" for n in names]
+    assert cli.main(["infer", "--ckpt", ckpt, "--input", str(data),
+                     "--out", str(tta), "--tta", "--prob"]) == 0
+    assert sorted(p.name for p in tta.iterdir()) == sorted(
+        f"{n}{suffix}" for n in names for suffix in ("_pred.pgm", "_prob.pgm"))
+
+    for source in (["--pred-dir", str(plain), "--gt-dir", str(data)],
+                   ["--ckpt", ckpt, "--dataset", str(data)]):
+        rows = tmp_path / "rows.csv"
+        assert cli.main(["eval", *source, "--out", str(rows)]) == 0
+        lines = rows.read_text().splitlines()
+        assert lines[0] == "name,dice,iou,accuracy,sensitivity,specificity"
+        assert [line.split(",")[0] for line in lines[1:]] == names
+        rows.unlink()
+
+    bad = tmp_path / "bad.ppm"
+    whole = (data / "sample_00000.ppm").read_bytes()
+    bad.write_bytes(whole[:len(whole) // 2])
+    capsys.readouterr()
+    assert cli.main(["infer", "--ckpt", ckpt, "--input", str(bad),
+                     "--out", str(tmp_path / "bad_out")]) == 2
+    assert "truncated pixel payload" in capsys.readouterr().err

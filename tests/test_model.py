@@ -1,9 +1,11 @@
-"""The assembled network: output contract, determinism and parameter budget."""
+"""The assembled network: output contract, determinism, the untaped forward
+against the taped one, and parameter budget."""
 
 import numpy as np
 import pytest
 
-from medlitenet.autodiff import Tensor
+from medlitenet.autodiff import Graph, Tensor
+from medlitenet.gradcheck import cast_module
 from medlitenet.model import PARAM_GROUPS, MedLiteNet, ModelConfig
 
 
@@ -44,3 +46,30 @@ def test_default_parameter_budget():
     assert len(PARAM_GROUPS) == 12
     assert all(n > 0 for n in counts["breakdown"].values())
     assert sum(counts["breakdown"].values()) == counts["total"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("config", [ModelConfig.micro(64), ModelConfig(input_size=64)],
+                         ids=["micro64", "default64"])
+def test_untaped_forward_is_bitwise_the_taped_one(config, training, dtype):
+    # with no Graph the units write BatchNorm and SiLU into their own conv
+    # outputs; under a Graph every op writes a fresh buffer
+    image = _image(64, 64).astype(dtype)
+    before = image.copy()
+    runs = []
+    for taped in (False, True):
+        net = cast_module(MedLiteNet(config, seed=2), dtype).train(training)
+        if taped:
+            with Graph():
+                out = net(Tensor(image))
+        else:
+            out = net(Tensor(image))
+        assert image.tobytes() == before.tobytes()
+        runs.append((out.data, list(net.named_states())))
+    (plain, plain_states), (taped, taped_states) = runs
+    assert plain.dtype == dtype
+    assert plain.tobytes() == taped.tobytes()
+    for (name, a), (_, b) in zip(plain_states, taped_states):
+        assert a.mean.tobytes() == b.mean.tobytes(), name
+        assert a.var.tobytes() == b.var.tobytes(), name

@@ -1,5 +1,6 @@
 """YAML run configuration: defaults, unknown keys, typed values with dotted
-paths, and the CLI's exit code for a bad config."""
+paths, YAML 1.2 exponent floats, out-of-range values named by their dotted
+key, and the CLI's exit code for a bad config."""
 
 import re
 
@@ -84,4 +85,63 @@ def test_cli_train_exits_2_naming_the_key(tmp_path, capsys, case):
                      str(tmp_path / "run")])
     assert code == 2
     assert re.search(match, capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_exponent_floats_load_as_numbers(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("train:\n  lr0: 1e-3\n  lr_min: -5e-8\n  eps: 1E-8\n"
+                    "  clip_norm: 1E+2\n  weight_decay: 1.5e3\n  ema_decay: .5E0\n")
+    with pytest.raises(ConfigError, match=r"train\.lr_min must be positive, "
+                                          r"got -5e-08"):
+        load_run_config(path)
+    path.write_text(path.read_text().replace("-5e-8", "5e-8"))
+    config = load_run_config(path)
+    assert (config.train.lr0, config.train.lr_min) == (1e-3, 5e-8)
+    assert (config.train.eps, config.train.clip_norm) == (1e-8, 100.0)
+    assert (config.train.weight_decay, config.train.ema_decay) == (1500.0, 0.5)
+    dump_resolved(config, tmp_path / "resolved.yaml")
+    assert load_run_config(tmp_path / "resolved.yaml").to_dict() == config.to_dict()
+
+
+# one out-of-range value per checked field of the train, augment and data
+# sections, two model fields, and the dotted key each error must name
+BAD_VALUES = [
+    ("model", "trans_layers", "0", "must be >= 1, got 0"),
+    ("model", "input_size", "48", "must be a positive multiple of 32, got 48"),
+    ("train", "batch_size", "0", "must be >= 1, got 0"),
+    ("train", "epochs", "0", "must be >= 1, got 0"),
+    ("train", "accumulation", "-1", "must be >= 1, got -1"),
+    ("train", "lr0", "0", "must be positive, got 0"),
+    ("train", "lr_min", "-1.0e-6", "must be positive, got -1e-06"),
+    ("train", "eps", "0.0", "must be positive, got 0.0"),
+    ("train", "clip_norm", "-0.5", "must be positive, got -0.5"),
+    ("train", "ema_decay", "1.0", r"must lie in \[0, 1\), got 1.0"),
+    ("train", "weight_decay", "-0.01", "must be non-negative, got -0.01"),
+    ("augment", "brightness", "0.5", r"must lie in \[0, 0.2\], got 0.5"),
+    ("augment", "contrast", "[0.5, 1.2]",
+     r"must be an ordered pair within \[0.8, 1.2\], got \(0.5, 1.2\)"),
+    ("augment", "gamma", "[1.2, 0.9]",
+     r"must be an ordered pair within \[0.7, 1.5\], got \(1.2, 0.9\)"),
+    ("augment", "noise_sigma", "0.2", r"must lie in \[0, 0.05\], got 0.2"),
+    ("data", "n_train", "0", "must be >= 1, got 0"),
+    ("data", "n_val", "0", "must be >= 1, got 0"),
+    ("data", "n_test", "-2", "must be >= 1, got -2"),
+    ("data", "size", "48", "must be a positive multiple of 32, got 48"),
+    ("data", "difficulty_mix", "[0.5, 0.5]",
+     r"must be three non-negative proportions, got \(0.5, 0.5\)"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, rule", BAD_VALUES,
+                         ids=[f"{s}.{k}" for s, k, _, _ in BAD_VALUES])
+def test_cli_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
+                                                      section, key, value, rule):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{section}:\n  {key}: {value}\n")
+    code = cli.main(["train", "--config", str(path), "--out",
+                     str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"error: config key {section}\.{key} {rule}", err), err
     assert not (tmp_path / "run").exists()

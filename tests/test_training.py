@@ -1,5 +1,7 @@
-"""AdamW's guard against non-finite gradients, the lifetime of the tape in
-``fit``, and fused BatchNorm->SiLU units leaving training bitwise unchanged."""
+"""AdamW, the cosine schedule, clipping and EMA against hand values; AdamW's
+guard against non-finite gradients; the lifetime of the tape in ``fit``;
+``fit`` repeating itself bitwise; and fused BatchNorm->SiLU units leaving
+training bitwise unchanged."""
 
 import gc
 import tracemalloc
@@ -11,7 +13,15 @@ from medlitenet import blocks
 from medlitenet.autodiff import Parameter, batchnorm2d, silu
 from medlitenet.data import synth_sample
 from medlitenet.model import MedLiteNet, ModelConfig
-from medlitenet.training import AdamW, NumericalError, TrainConfig, fit
+from medlitenet.training import (
+    AdamW,
+    EmaState,
+    NumericalError,
+    TrainConfig,
+    clip_grad_norm,
+    cosine_lr,
+    fit,
+)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -88,3 +98,95 @@ def test_fused_units_leave_fit_bitwise_unchanged(monkeypatch):
                                  chain_net.named_states()):
         assert a.mean.tobytes() == b.mean.tobytes(), name
         assert a.var.tobytes() == b.var.tobytes(), name
+
+
+def _adamw_closed_form(p0, grads, lr, b1, b2, eps, wd):
+    """Textbook AdamW with decoupled decay, step by step in float64."""
+    p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * wd * p
+        p = p - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    return p
+
+
+def test_adamw_matches_closed_form_with_decay_exemption():
+    lr, b1, b2, eps, wd = 0.1, 0.8, 0.9, 1e-8, 0.05
+    w0, n0 = np.array([1.0, -2.0, 0.5]), np.array([0.25, 3.0])
+    w = Parameter(w0.copy(), name="w")
+    n = Parameter(n0.copy(), name="norm")
+    n.decay_exempt = True
+    opt = AdamW([("w", w), ("norm", n)], lr=lr, betas=(b1, b2), eps=eps,
+                weight_decay=wd)
+    gw = [np.array([0.5, -1.0, 2.0]), np.array([-0.25, 0.75, 1.0])]
+    gn = [np.array([1.5, -0.5]), np.array([0.5, 0.25])]
+    # one step: with m and v bias-corrected, the update is g / (|g| + eps)
+    w.grad, n.grad = gw[0].copy(), gn[0].copy()
+    opt.step()
+    assert np.allclose(w.data, w0 * (1 - lr * wd) - lr * gw[0] / (np.abs(gw[0]) + eps),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(n.data, n0 - lr * gn[0] / (np.abs(gn[0]) + eps),
+                       rtol=1e-12, atol=0)
+    w.grad, n.grad = gw[1].copy(), gn[1].copy()
+    opt.step()
+    assert opt.step_count == 2
+    assert np.allclose(w.data, _adamw_closed_form(w0, gw, lr, b1, b2, eps, wd),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(n.data, _adamw_closed_form(n0, gn, lr, b1, b2, eps, 0.0),
+                       rtol=1e-12, atol=0)
+
+
+def test_cosine_lr_hand_values_and_range():
+    assert cosine_lr(0, 10, 1e-3, 1e-5) == pytest.approx(1e-3, rel=1e-15)
+    assert cosine_lr(5, 10, 1e-3, 1e-5) == pytest.approx(0.5 * (1e-3 + 1e-5),
+                                                          rel=1e-15)
+    assert cosine_lr(10, 10, 1e-3, 1e-5) == pytest.approx(1e-5, rel=1e-15)
+    for epoch in (-1, 11):
+        with pytest.raises(ValueError, match=rf"epoch {epoch} outside \[0, 10\]"):
+            cosine_lr(epoch, 10, 1e-3, 1e-5)
+
+
+def test_clip_grad_norm_scale_and_clipped_norm():
+    a = Parameter(np.zeros(2), name="a")
+    b = Parameter(np.zeros(1), name="b")
+    idle = Parameter(np.zeros(3), name="idle")      # no gradient: skipped
+    a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])   # global norm 13
+    assert clip_grad_norm([a, b, idle], max_norm=13.0) == 1.0
+    assert np.array_equal(a.grad, [3.0, 4.0]) and np.array_equal(b.grad, [12.0])
+    scale = clip_grad_norm([a, b, idle], max_norm=6.5)
+    assert scale == 0.5
+    assert np.array_equal(a.grad, [1.5, 2.0]) and np.array_equal(b.grad, [6.0])
+    assert np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2)) == 6.5
+    assert idle.grad is None
+
+
+def test_ema_averaged_divides_out_the_startup_bias():
+    p = Parameter(np.array([2.0, -4.0]), name="p")
+    ema = EmaState([("p", p)], decay=0.5)
+    assert np.array_equal(ema.averaged()["p"], p.data)   # before any update
+    ema.update()
+    # shadow (1-d)*p1, corrected by 1-d: exactly p1
+    assert np.array_equal(ema.averaged()["p"], [2.0, -4.0])
+    values = [np.array([2.0, -4.0]), np.array([6.0, 0.0]), np.array([-2.0, 8.0])]
+    for value in values[1:]:
+        p.data = value.copy()
+        ema.update()
+    d = 0.5
+    want = (1 - d) * (d * d * values[0] + d * values[1] + values[2]) / (1 - d ** 3)
+    assert np.allclose(ema.averaged()["p"], want, rtol=1e-15, atol=0)
+    assert ema.num_updates == 3
+
+
+def test_two_micro_fits_are_bitwise_equal():
+    train = [synth_sample(i, 32) for i in range(4)]
+    val = [synth_sample(100 + i, 32) for i in range(2)]
+    config = TrainConfig(batch_size=2, epochs=2, accumulation=2, seed=5)
+
+    def run():
+        return fit(MedLiteNet(ModelConfig.micro(32), seed=5), train, val, config)
+
+    first, second = run(), run()
+    assert len(first.step_losses) == 4
+    assert first.step_losses == second.step_losses
+    assert first.history == second.history
