@@ -4,9 +4,12 @@ The engine is tape-based: while a :class:`Graph` is active, every operation
 appends a node holding the operands and a backward closure.  ``backward``
 walks the tape in exact reverse append order and accumulates gradients
 (``+=``) into the ``grad`` buffer of every leaf tensor that requires them.
-A tape lives until its ``Graph`` block exits: ``backward`` may run on it any
-number of times inside the block, and on exit the tape is unlinked so that
-reference counting frees its activations and closures at once.
+A tape is backpropagated once, inside its ``Graph`` block, and is freed as
+backward runs: each node is popped and released once its gradients are
+passed on, so reference counting frees every activation that only the
+processed nodes held.  Gradients accumulate across tapes, one ``Graph`` per
+micro-batch.  On exit the rest of the tape is unlinked, so that reference
+counting frees it at once.
 
 Layout convention is NCHW for 4-D tensors, row-major, float32 by default.
 All ops are dtype-preserving so the gradient-check harness can run the same
@@ -196,12 +199,23 @@ class _Node:
         self.graph = graph
 
 
+def _release(node: _Node):
+    """Drop what a node holds, and the out -> node and node -> graph cycles."""
+    node.out.creator = None
+    node.parents = node.out = node.backward_fn = node.graph = None
+
+
 class Graph:
-    """Append-only op tape; backward runs in exact reverse append order."""
+    """Append-only op tape, backpropagated once in exact reverse append order.
+
+    ``backward`` pops each node off ``nodes`` and releases it; exiting the
+    block unlinks whatever is left, also after a backward that raised.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self.exited = False
+        self.consumed = False
 
     def __enter__(self):
         _GRAPH_STACK.append(self)
@@ -267,8 +281,10 @@ def _record(op: str, out: Tensor, parents: Sequence[Tensor],
 def backward(loss: Tensor, graph: Optional[Graph] = None):
     """Accumulate d(loss)/d(leaf) into ``grad`` for every requires_grad leaf.
 
-    Repeated calls without zeroing add up, so two passes yield exactly twice
-    the single-pass gradient.  The graph's block must still be open.
+    A tape is backpropagated once: nodes are released as their gradients are
+    passed on, and a second call on the same graph raises.  Gradients add up
+    across graphs, so two tapes of the same loss yield exactly twice the
+    single-pass gradient.  The graph's block must still be open.
     """
     if loss.data.size != 1:
         raise AutodiffError(
@@ -280,29 +296,41 @@ def backward(loss: Tensor, graph: Optional[Graph] = None):
     if graph.exited:
         raise AutodiffError("backward on a Graph whose block has exited: its "
                             "tape is unlinked, so run backward inside the block")
+    if graph.consumed:
+        raise AutodiffError("backward already ran on this Graph: its tape is "
+                            "freed as backward runs, so record a new Graph")
+    if loss.creator is not None and loss.creator.graph is not graph:
+        raise AutodiffError("loss was recorded on another Graph than the one "
+                            "passed to backward")
+    graph.consumed = True
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss.creator is None or loss.creator.graph is not graph:
+    if loss.creator is None:
         # degenerate: the loss is itself a leaf
         if loss.requires_grad:
             if loss.grad is None:
                 loss.grad = np.zeros_like(loss.data)
             loss.grad += pending[id(loss)]
         return
-    for node in reversed(graph.nodes):
-        gout = pending.pop(id(node.out), None)
-        if gout is None:
-            continue
-        grads = node.backward_fn(gout)
-        for parent, g in zip(node.parents, grads):
-            if g is None or not parent.requires_grad:
+    nodes = graph.nodes
+    while nodes:
+        node = nodes.pop()
+        try:
+            gout = pending.pop(id(node.out), None)
+            if gout is None:
                 continue
-            if parent.creator is not None and parent.creator.graph is graph:
-                prev = pending.get(id(parent))
-                pending[id(parent)] = g if prev is None else prev + g
-            else:
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+            grads = node.backward_fn(gout)
+            for parent, g in zip(node.parents, grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.creator is not None and parent.creator.graph is graph:
+                    prev = pending.get(id(parent))
+                    pending[id(parent)] = g if prev is None else prev + g
+                else:
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.data)
+                    parent.grad += g
+        finally:
+            _release(node)
 
 
 def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
@@ -449,9 +477,10 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), bw)
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     # d/dx x*sig(x) = sig(x) * (1 + x * (1 - sig(x))), times g, in one buffer
-    ds = 1.0 - s
+    ds = np.subtract(1.0, s, out=out)
     ds *= x
     ds += 1.0
     ds *= s
@@ -708,9 +737,14 @@ def _phase_rows(a: int, s: int, p: int, size: int) -> tuple:
     return slice(r0, r0 + len(range(y0, size, s))), slice(y0, size, s)
 
 
-def _channel_blocks(n: int, c: int, channel_bytes: int) -> tuple:
-    """Channel-block size and the slices of C that one call works through."""
-    m = max(1, min(c, _DW_BLOCK_BYTES // (n * channel_bytes)))
+def _channel_blocks(n: int, c: int, channel_bytes: int,
+                    budget: Optional[int] = None) -> tuple:
+    """Channel-block size and the slices of C that one call works through.
+
+    ``budget`` is the scratch bytes of one block, ``_DW_BLOCK_BYTES`` if None.
+    """
+    budget = _DW_BLOCK_BYTES if budget is None else budget
+    m = max(1, min(c, budget // (n * channel_bytes)))
     return m, [slice(c0, min(c0 + m, c)) for c0 in range(0, c, m)]
 
 
@@ -975,9 +1009,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     stats in place; eval mode uses the stored running stats.
 
     ``silu=True`` returns ``silu(batchnorm2d(...))`` as one node that keeps
-    only ``x``: backward recomputes the normalized map and its sigmoid with
-    the forward's float ops, so output, gradients and running stats equal the
-    two-op chain bit for bit while the tape holds two fewer full-size arrays.
+    only ``x``: backward recomputes the normalized map and its sigmoid, one
+    channel block at a time, with the forward's float ops.  Output, gradients
+    and running stats equal the two-op chain bit for bit, while the tape
+    holds two fewer full-size arrays and backward one fewer.
 
     An ``x`` marked by :func:`handover` receives the output in its own buffer.
     """
@@ -1007,10 +1042,6 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     shift = beta.data.reshape(1, c, 1, 1) - mean.reshape(1, c, 1, 1) * scale
 
     dtype = np.result_type(x.data, scale)
-
-    def normalized():
-        return _affine_silu(x.data, scale, shift, False, np.empty(x.shape, dtype))
-
     into_x = isinstance(x, _Handover) and x.data.dtype == dtype
     out = Tensor(_affine_silu(x.data, scale, shift, silu,
                               x.data if into_x else np.empty(x.shape, dtype)))
@@ -1032,6 +1063,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 gx += g
                 gx -= (sum_g / m).reshape(1, c, 1, 1)
                 gx *= scale
+            elif xhat is not None and xhat.dtype == np.result_type(g, scale):
+                gx = np.multiply(g, scale, out=xhat)   # the einsum has read it
             else:
                 gx = g * scale
         ggamma = sum_g_xhat if gamma.requires_grad else None
@@ -1039,9 +1072,20 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         return gx, ggamma, gbeta
 
     def silu_bn_bw(g):
-        z = normalized()
-        gz = _silu_grad(g, z, _stable_sigmoid(z))
-        del z   # before BN backward allocates its own full-size buffers
+        # the normalized map and its sigmoid exist one channel block at a
+        # time, in scratch of _SILU_CHUNK_BYTES: gz is the only full-size
+        # array until BN backward allocates xhat
+        n, _, h, w = x.shape
+        mb, blocks = _channel_blocks(n, c, 2 * h * w * dtype.itemsize,
+                                     _SILU_CHUNK_BYTES)
+        z_buf, s_buf = (np.empty(n * mb * h * w, dtype) for _ in range(2))
+        gz = np.empty(x.shape, dtype)
+        for cb in blocks:
+            mb = cb.stop - cb.start
+            z = _affine_silu(x.data[:, cb], scale[:, cb], shift[:, cb], False,
+                             _block_view(z_buf, n, mb, h, w))
+            s = _stable_sigmoid(z, _block_view(s_buf, n, mb, h, w))
+            _silu_grad(g[:, cb], z, s, out=gz[:, cb])
         return bn_bw(gz)
 
     return _record("batchnorm2d", out, (x, gamma, beta),

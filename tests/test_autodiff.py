@@ -296,6 +296,30 @@ class TestBatchNorm:
             assert fused.dtype == chain.dtype == dtype
             assert fused.tobytes() == chain.tobytes()
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_fused_silu_backward_holds_two_full_size_arrays(self, training):
+        # BN backward needs the normalized map next to the SiLU gradient; the
+        # SiLU part (z, sigmoid(z)) goes through channel-block scratch
+        r = rng(13)
+        shape = (4, 96, 64, 64)
+        x = Tensor(r.standard_normal(shape).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(96, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(96, np.float32), requires_grad=True)
+        g = np.ones(shape, np.float32)
+        with Graph() as graph:
+            ad.batchnorm2d(x, gamma, beta, BatchNormState.initial(96), training,
+                           silu=True)
+            (node,) = graph.nodes
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                grads = node.backward_fn(g)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert grads[0].shape == shape
+        assert peak <= 2 * x.data.nbytes + (1 << 20)
+
     def test_fused_silu_is_one_batchnorm_node(self):
         x = Tensor(rng(10).standard_normal((2, 3, 4, 4)).astype(np.float32),
                    requires_grad=True)
@@ -533,15 +557,99 @@ class TestBackward:
             backward(ad.tsum(ad.mul(x, x)), g)
         assert np.allclose(x.grad, 2 * x.data, atol=1e-6)
 
-    def test_double_backward_accumulates_exactly_twice(self):
+    def test_two_graphs_accumulate_exactly_twice(self):
+        # what gradient accumulation over micro-batches relies on
+        x = Tensor(rng(2).uniform(-1, 1, (4, 4)).astype(np.float32),
+                   requires_grad=True)
+
+        def one_pass():
+            with Graph() as g:
+                backward(ad.tsum(ad.silu(ad.mul(x, x))), g)
+
+        one_pass()
+        once = x.grad.copy()
+        one_pass()
+        assert np.array_equal(x.grad, 2 * once)
+
+    def test_second_backward_on_one_graph_raises(self):
         x = Tensor(rng(2).uniform(-1, 1, (4, 4)).astype(np.float32),
                    requires_grad=True)
         with Graph() as g:
             loss = ad.tsum(ad.silu(ad.mul(x, x)))
             backward(loss, g)
             once = x.grad.copy()
-            backward(loss, g)
-        assert np.array_equal(x.grad, 2 * once)
+            with pytest.raises(ad.AutodiffError, match="already ran"):
+                backward(loss, g)
+            # the loss's node is released: it no longer names its graph
+            with pytest.raises(ad.AutodiffError, match="not attached"):
+                backward(loss)
+        assert x.grad.tobytes() == once.tobytes()
+        assert loss.grad is None
+
+    def test_loss_from_another_graph_raises(self):
+        x = Tensor(np.array([3.0], np.float32), requires_grad=True)
+        with Graph() as outer:
+            with Graph():
+                loss = ad.tsum(ad.mul(x, x))
+                with pytest.raises(ad.AutodiffError, match="another Graph"):
+                    backward(loss, outer)
+        assert x.grad is None and loss.grad is None
+
+    def test_backward_frees_processed_nodes(self):
+        r = rng(3)
+        x = Tensor(r.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(r.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        gc.disable()
+        try:
+            with Graph() as g:
+                conv = ad.conv2d(x, w, Conv2dSpec(3, 4, 3))
+                y = ad.batchnorm2d(conv, gamma, beta, BatchNormState.initial(4),
+                                   True, silu=True)
+                alive = weakref.ref(conv.data)
+                del conv
+                backward(ad.tsum(y))
+                # freed by reference counting while the block is still open
+                assert alive() is None
+                assert g.nodes == [] and y.creator is None
+        finally:
+            gc.enable()
+        assert w.grad is not None and gamma.grad is not None
+
+    def test_raising_backward_fn_propagates_and_exit_frees_tape(self):
+        r = rng(4)
+        x = Tensor(r.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(r.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+
+        def boom(g):
+            raise FloatingPointError("boom")
+
+        gc.disable()
+        try:
+            with Graph() as graph:
+                conv = ad.conv2d(x, w, Conv2dSpec(3, 4, 3))
+                y = ad.batchnorm2d(conv, gamma, beta, BatchNormState.initial(4),
+                                   True, silu=True)
+                loss = ad.tsum(y)
+                y.creator.backward_fn = boom
+                alive = weakref.ref(conv.data)
+                del conv, y
+                with pytest.raises(FloatingPointError, match="boom"):
+                    backward(loss, graph)
+                with pytest.raises(ad.AutodiffError, match="already ran"):
+                    backward(loss, graph)
+                assert alive() is not None      # the conv node is not reached
+            del graph, loss
+            # the raising node was released, the rest unlinked on exit
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert w.grad is None and gamma.grad is None
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros((2, 2), np.float32), requires_grad=True)

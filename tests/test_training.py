@@ -1,7 +1,7 @@
 """AdamW, the cosine schedule, clipping and EMA against hand values; AdamW's
-guard against non-finite gradients; the lifetime of the tape in ``fit``;
-``fit`` repeating itself bitwise; and fused BatchNorm->SiLU units leaving
-training bitwise unchanged."""
+guard against non-finite gradients; the lifetime of the tape in ``fit`` and
+in backward; ``fit`` repeating itself bitwise; and fused BatchNorm->SiLU
+units leaving training bitwise unchanged."""
 
 import gc
 import tracemalloc
@@ -10,14 +10,23 @@ import numpy as np
 import pytest
 
 from medlitenet import blocks
-from medlitenet.autodiff import Parameter, batchnorm2d, silu
+from medlitenet.autodiff import (
+    Graph,
+    Parameter,
+    Tensor,
+    backward,
+    batchnorm2d,
+    silu,
+)
 from medlitenet.data import synth_sample
+from medlitenet.losses import total_loss
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.training import (
     AdamW,
     EmaState,
     NumericalError,
     TrainConfig,
+    batch_arrays,
     clip_grad_norm,
     cosine_lr,
     fit,
@@ -62,6 +71,29 @@ def test_fit_keeps_no_tape_without_cyclic_collector():
     # one micro@64 x2 tape takes about 10 MiB; all four would stay without
     # the unlink, since the collector is off
     assert kept < 1 << 20
+
+
+def test_backward_peak_stays_at_the_forward_end_tape():
+    # nodes are released as backward passes their gradients on, so the
+    # activations they free make room for the gradients still to come
+    net = MedLiteNet(ModelConfig.small(64), seed=0).train()
+    images, masks = batch_arrays([synth_sample(i, 64) for i in range(2)])
+
+    def step():
+        with Graph():
+            loss = total_loss(net(Tensor(images)), Tensor(masks))
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            return after_forward, tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        step()                      # gradient buffers and caches exist after it
+        after_forward, peak = step()
+    finally:
+        tracemalloc.stop()
+    assert peak <= after_forward + (1 << 20)
 
 
 def test_fused_units_leave_fit_bitwise_unchanged(monkeypatch):
