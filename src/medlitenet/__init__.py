@@ -35,15 +35,16 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .training import (
     AdamW,
     EmaState,
+    Ensemble,
     FitResult,
     NumericalError,
     TrainConfig,
     clip_grad_norm,
     cosine_lr,
-    ensemble_predict,
     ensemble_weights,
     evaluate,
     fit,
+    predict_proba,
     tta_predict,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "ConfigError",
     "Conv2dSpec",
     "EmaState",
+    "Ensemble",
     "EvalRecord",
     "FitResult",
     "Graph",
@@ -82,7 +84,6 @@ __all__ = [
     "dice_coef",
     "dice_from_iou",
     "dice_loss",
-    "ensemble_predict",
     "ensemble_weights",
     "evaluate",
     "finite_diff_gradcheck",
@@ -92,6 +93,7 @@ __all__ = [
     "make_split",
     "normalize_imagenet",
     "predict_mask",
+    "predict_proba",
     "save_checkpoint",
     "synth_sample",
     "total_loss",

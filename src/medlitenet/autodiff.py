@@ -38,7 +38,6 @@ __all__ = [
     "Conv2dSpec",
     "BatchNormState",
     "backward",
-    "tensor",
     "add",
     "sub",
     "mul",
@@ -134,12 +133,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
     def __rsub__(self, other):
         return sub(_lift(other, self.dtype), self)
 
@@ -152,33 +145,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _lift(other, self.dtype))
 
-    def __rtruediv__(self, other):
-        return div(_lift(other, self.dtype), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, p):
-        return pow_scalar(self, float(p))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 class Parameter(Tensor):
@@ -231,9 +199,6 @@ class Graph:
             node.graph = None
         self.exited = True
         return False
-
-    def backward(self, loss: Tensor):
-        backward(loss, self)
 
 
 _GRAPH_STACK: list[Graph] = []
@@ -331,10 +296,6 @@ def backward(loss: Tensor, graph: Optional[Graph] = None):
                     parent.grad += g
         finally:
             _release(node)
-
-
-def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
 def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -498,17 +459,6 @@ def silu(a: Tensor) -> Tensor:
     return _record("silu", out, (a,), bw)
 
 
-def activation(a: Tensor, kind: str) -> Tensor:
-    """Dispatch helper for the supported elementwise activations."""
-    if kind == "silu":
-        return silu(a)
-    if kind == "relu":
-        return relu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {tuple(a.shape)}")
@@ -649,10 +599,11 @@ class Conv2dSpec:
                 f"stride={self.stride} dilation={self.dilation}")
         if self.kernel <= 0:
             raise ShapeError(f"conv2d: kernel must be positive, got {self.kernel}")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
+        if self.groups != 1 and not self.depthwise:
             raise ShapeError(
-                f"conv2d: channels ({self.in_channels}->{self.out_channels}) "
-                f"not divisible by groups={self.groups}")
+                f"conv2d: groups={self.groups} with channels "
+                f"{self.in_channels}->{self.out_channels}; only dense "
+                f"(groups=1) and depthwise (groups = in = out) convs exist")
         if self.padding is None:
             self.padding = self.dilation * (self.kernel - 1) // 2
 
@@ -686,7 +637,7 @@ def _conv_windows(xp: np.ndarray, k: int, stride: int, dilation: int) -> np.ndar
 
 def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
            bias: Optional[Tensor] = None) -> Tensor:
-    """Grouped/strided/dilated 2-D convolution.
+    """Dense or depthwise, strided/dilated 2-D convolution.
 
     Depthwise specs run as k*k multiply-adds per channel block on the
     input's stride phases, unpadded stride-1 dense 1x1 specs as one batched
@@ -696,8 +647,7 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
     _check_conv_args(x, weight, spec, bias)
     if spec.depthwise:
         out_data, conv_bw = _conv_depthwise(x, weight, spec)
-    elif (spec.kernel == 1 and spec.stride == 1 and spec.groups == 1
-          and spec.padding == 0):
+    elif spec.kernel == 1 and spec.stride == 1 and spec.padding == 0:
         out_data, conv_bw = _conv_pointwise(x, weight)
     else:
         out_data, conv_bw = _conv_windowed(x, weight, spec)
@@ -855,47 +805,25 @@ def _conv_pointwise(x: Tensor, weight: Tensor):
 
 def _conv_windowed(x: Tensor, weight: Tensor, spec: Conv2dSpec):
     n, c, h, w = x.shape
-    k, p, grp = spec.kernel, spec.padding, spec.groups
-    cout = spec.out_channels
+    k, p = spec.kernel, spec.padding
     ho, wo = spec.out_size(h), spec.out_size(w)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     win = _conv_windows(xp, k, spec.stride, spec.dilation)   # [N, C, Ho, Wo, K, K]
-    if grp == 1:
-        out_data = np.einsum("nchwkl,ockl->nohw", win, weight.data, optimize=True)
-    else:
-        cg = c // grp
-        win_g = win.reshape(n, grp, cg, ho, wo, k, k)
-        w_g = weight.data.reshape(grp, cout // grp, cg, k, k)
-        out_data = np.einsum("ngchwkl,gockl->ngohw", win_g, w_g,
-                             optimize=True).reshape(n, cout, ho, wo)
-    out_data = np.ascontiguousarray(out_data)
+    out_data = np.ascontiguousarray(
+        np.einsum("nchwkl,ockl->nohw", win, weight.data, optimize=True))
 
     def bw(g):
         gx = gw = None
         if weight.requires_grad:
-            if grp == 1:
-                gw = np.einsum("nchwkl,nohw->ockl", win, g, optimize=True)
-            else:
-                cg = c // grp
-                win_g = win.reshape(n, grp, cg, ho, wo, k, k)
-                g_g = g.reshape(n, grp, cout // grp, ho, wo)
-                gw = np.einsum("ngchwkl,ngohw->gockl", win_g, g_g,
-                               optimize=True).reshape(cout, cg, k, k)
-            gw = np.ascontiguousarray(gw)
+            gw = np.ascontiguousarray(
+                np.einsum("nchwkl,nohw->ockl", win, g, optimize=True))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            if grp > 1:
-                w_g = weight.data.reshape(grp, cout // grp, c // grp, k, k)
-                g_g = g.reshape(n, grp, cout // grp, ho, wo)
             for ki in range(k):
                 for li in range(k):
-                    if grp == 1:
-                        t = np.einsum("nohw,oc->nchw", g, weight.data[:, :, ki, li],
-                                      optimize=True)
-                    else:
-                        t = np.einsum("ngohw,goc->ngchw", g_g, w_g[:, :, :, ki, li],
-                                      optimize=True).reshape(n, c, ho, wo)
+                    t = np.einsum("nohw,oc->nchw", g, weight.data[:, :, ki, li],
+                                  optimize=True)
                     gxp[_tap_slice(ki, li, spec, ho, wo)] += t
             gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
             gx = np.ascontiguousarray(gx)

@@ -80,6 +80,40 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_states(prefix + cname + ".")
 
+    def state_dict(self) -> dict:
+        """Every named tensor: the parameters in ``named_parameters`` order,
+        then ``<bn>.running_mean`` and ``<bn>.running_var`` per BatchNorm in
+        ``named_states`` order.  The values are the live arrays, not copies.
+        """
+        table = {name: p.data for name, p in self.named_parameters()}
+        for name, state in self.named_states():
+            table[name + ".running_mean"] = state.mean
+            table[name + ".running_var"] = state.var
+        return table
+
+    def load_state_dict(self, table: dict) -> "Module":
+        """Rebind every tensor of ``state_dict()`` to ``table``'s array.
+
+        A missing, unexpected or misshaped name raises ``ShapeError`` before
+        anything is rebound.
+        """
+        current = self.state_dict()
+        for name, arr in current.items():
+            if name not in table:
+                raise ShapeError(f"missing tensor {name!r}")
+            if table[name].shape != arr.shape:
+                raise ShapeError(f"tensor {name!r} has shape {table[name].shape}, "
+                                 f"model expects {arr.shape}")
+        for name in table:
+            if name not in current:
+                raise ShapeError(f"unexpected tensor {name!r}")
+        for name, p in self.named_parameters():
+            p.data = table[name]
+        for name, state in self.named_states():
+            state.mean = table[name + ".running_mean"]
+            state.var = table[name + ".running_var"]
+        return self
+
     def param_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
 

@@ -8,9 +8,10 @@ Layout (little-endian):
                 | u8 rank | u64 dims... | raw row-major data
 
 The JSON payload echoes the model config plus run metadata (seed, step count,
-best validation Dice).  Model weights and BatchNorm running stats are stored
-under their module names, EMA shadows under ``ema/`` and optimizer moments
-under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
+best validation Dice).  Model tensors are stored under their
+``Module.state_dict`` names, the one naming scheme of parameters and
+BatchNorm running stats; EMA shadows use the same names under ``ema/`` and
+optimizer moments under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .model import ConfigError, MedLiteNet, ModelConfig
 from .netpbm import atomic_write
 
@@ -33,14 +35,6 @@ _DTYPE_F32 = 0
 
 class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint file."""
-
-
-def _named_tensors(model: MedLiteNet) -> list:
-    entries = [(name, p.data) for name, p in model.named_parameters()]
-    for name, state in model.named_states():
-        entries.append((name + ".running_mean", state.mean))
-        entries.append((name + ".running_var", state.var))
-    return entries
 
 
 def _tensor_chunks(name: str, arr: np.ndarray):
@@ -68,7 +62,7 @@ def save_checkpoint(model: MedLiteNet, path, *, ema_shadow: Optional[dict] = Non
         "seed": model.seed,
         "meta": dict(meta or {}),
     }
-    entries = _named_tensors(model)
+    entries = list(model.state_dict().items())
     if ema_shadow is not None:
         entries.extend(("ema/" + name, arr) for name, arr in ema_shadow.items())
     if optimizer_state is not None:
@@ -189,17 +183,6 @@ def read_checkpoint(path) -> tuple:
     return payload, tensors
 
 
-def _stored(tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    """The stored tensor ``name``, which must exist and have ``shape``."""
-    if name not in tensors:
-        raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-    if tensors[name].shape != shape:
-        raise CheckpointError(
-            f"tensor {name!r} has shape {tensors[name].shape}, model "
-            f"expects {shape}")
-    return tensors[name]
-
-
 def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tuple:
     """Rebuild the model from a checkpoint.
 
@@ -220,11 +203,11 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tupl
             f"(differs in: {', '.join(diff)})")
 
     model = MedLiteNet(config, seed=int(payload.get("seed", 0)))
-    for name, p in model.named_parameters():
-        p.data = _stored(tensors, name, p.data.shape)
-    for name, state in model.named_states():
-        state.mean = _stored(tensors, name + ".running_mean", state.mean.shape)
-        state.var = _stored(tensors, name + ".running_var", state.var.shape)
+    try:
+        model.load_state_dict({name: arr for name, arr in tensors.items()
+                               if not name.startswith(("ema/", "opt/"))})
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint does not fit the model: {exc}") from exc
 
     ema_shadow = {name[len("ema/"):]: arr for name, arr in tensors.items()
                   if name.startswith("ema/")} or None

@@ -14,16 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gc
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint
 from .data import (
-    DIFFICULTIES,
-    SampleSpec,
     _assign_difficulties,
     generate_samples,
     load_dataset_dir,
     make_split,
-    normalize_imagenet,
     synth_sample,
 )
 from .metrics import confusion_metrics
@@ -37,13 +34,7 @@ from .netpbm import (
     save_mask_pgm,
 )
 from .runconfig import dump_resolved, load_run_config
-from .training import (
-    NumericalError,
-    ensemble_predict,
-    evaluate,
-    fit,
-    tta_predict,
-)
+from .training import Ensemble, NumericalError, fit, predict_proba
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -183,10 +174,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _prepare_input_batch(image: np.ndarray) -> np.ndarray:
-    return normalize_imagenet(image)[None].astype(np.float32)
-
-
 def _list_inputs(path: Path):
     if path.is_dir():
         files = sorted(path.glob("*.ppm"))
@@ -203,17 +190,12 @@ def cmd_infer(args) -> int:
         raise ConfigError(
             f"--threshold must lie in [0, 1], got {args.threshold}")
     model, _ = load_checkpoint(args.ckpt)
-    model.eval()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for f in _list_inputs(Path(args.input)):
         image = load_image_ppm(f)
-        batch = _prepare_input_batch(image)
         start = time.perf_counter()
-        if args.tta:
-            prob = tta_predict(model, batch)
-        else:
-            prob = model(Tensor(batch)).data
+        prob = predict_proba(model, image[None], args.tta)
         elapsed = (time.perf_counter() - start) * 1000.0
         mask = predict_mask(prob[0, 0], args.threshold)
         save_mask_pgm(out / f"{f.stem}_pred.pgm", mask)
@@ -247,10 +229,24 @@ def _eval_rows_from_dirs(pred_dir: Path, gt_dir: Path):
         yield name, load_mask_pgm(p), load_mask_pgm(g)
 
 
-def _eval_rows_from_model(predict_fn, dataset_dir, threshold):
+def _eval_rows_from_model(net, dataset_dir, tta, threshold):
     for name, sample in load_dataset_dir(dataset_dir):
-        prob = predict_fn(_prepare_input_batch(sample.image))
+        prob = predict_proba(net, sample.image[None], tta)
         yield name, predict_mask(prob[0], threshold), sample.mask   # [1,H,W]
+
+
+def _load_ensemble(paths) -> Ensemble:
+    models, dices = [], []
+    for path in paths:
+        model, extras = load_checkpoint(path)
+        stored = extras["meta"].get("best_val_dice")
+        if stored is None:
+            raise ConfigError(
+                f"checkpoint {path} has no stored best_val_dice; cannot "
+                f"weight the ensemble")
+        models.append(model)
+        dices.append(float(stored))
+    return Ensemble(models, dices)
 
 
 def cmd_eval(args) -> int:
@@ -260,29 +256,9 @@ def cmd_eval(args) -> int:
     if args.pred_dir and args.gt_dir:
         rows = _eval_rows_from_dirs(Path(args.pred_dir), Path(args.gt_dir))
     elif (args.ensemble or args.ckpt) and args.dataset:
-        if args.ensemble:
-            models, dices = [], []
-            for path in args.ensemble:
-                model, extras = load_checkpoint(path)
-                model.eval()
-                stored = extras["meta"].get("best_val_dice")
-                if stored is None:
-                    raise ConfigError(
-                        f"checkpoint {path} has no stored best_val_dice; "
-                        f"cannot weight the ensemble")
-                models.append(model)
-                dices.append(float(stored))
-
-            def predict(batch, _models=models, _dices=dices):
-                return ensemble_predict(_models, _dices, batch)
-        else:
-            model, _ = load_checkpoint(args.ckpt)
-            model.eval()
-            predict = lambda batch: model(Tensor(batch)).data   # noqa: E731
-        if args.tta:
-            plain = predict
-            predict = lambda batch: tta_predict(plain, batch)   # noqa: E731
-        rows = _eval_rows_from_model(predict, args.dataset, args.threshold)
+        net = (_load_ensemble(args.ensemble) if args.ensemble
+               else load_checkpoint(args.ckpt)[0])
+        rows = _eval_rows_from_model(net, args.dataset, args.tta, args.threshold)
     else:
         raise ConfigError(
             "eval needs either --pred-dir with --gt-dir, or --ckpt/--ensemble "

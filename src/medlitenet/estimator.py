@@ -13,11 +13,10 @@ import inspect
 
 import numpy as np
 
-from .autodiff import Tensor
 from .data import AugmentConfig, SegmentationSample
 from .model import MedLiteNet, ModelConfig, predict_mask
 from .metrics import dice_coef
-from .training import TrainConfig, evaluate, fit, tta_predict
+from .training import TrainConfig, fit, predict_proba
 
 
 class NotFittedError(ValueError, AttributeError):
@@ -162,14 +161,7 @@ class MedLiteNetSegmenter:
     def predict_proba(self, X) -> np.ndarray:
         """Probability maps [N, 1, H, W] in (0, 1)."""
         self._check_fitted()
-        X = validate_image_batch(X)
-        from .data import normalize_imagenet
-
-        self.model_.eval()
-        batch = normalize_imagenet(X)
-        if self.use_tta:
-            return tta_predict(self.model_, batch)
-        return self.model_(Tensor(batch)).data
+        return predict_proba(self.model_, validate_image_batch(X), self.use_tta)
 
     def predict(self, X) -> np.ndarray:
         """Binary masks [N, H, W] thresholded at ``self.threshold``."""

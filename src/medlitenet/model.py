@@ -15,12 +15,11 @@ sigmoid, so the probability map always matches the input size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, sigmoid, silu, upsample_bilinear
+from .autodiff import ShapeError, Tensor, sigmoid, upsample_bilinear
 from .blocks import (
     ASPPModule,
     BoundaryAttention,
@@ -255,11 +254,6 @@ class MedLiteNet(Module):
             breakdown[self._group_of(name)] += p.size
         total = sum(breakdown.values())
         return {"total": total, "breakdown": breakdown}
-
-    def encoder_param_count(self) -> int:
-        counts = self.count_parameters()["breakdown"]
-        return sum(counts[k] for k in ("stem", "stage1", "stage2", "stage3",
-                                       "stage4"))
 
     @staticmethod
     def _group_of(name: str) -> str:

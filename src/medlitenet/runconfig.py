@@ -164,7 +164,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         for key, value in body.items():
             if key not in defaults:
                 raise ConfigError(
-                    f"config key {section}.{key!r} is not recognized")
+                    f"config key {section}.{key} is not recognized")
             coerced[key] = _checked(f"{section}.{key}", value, defaults[key])
         try:
             kwargs[section] = cls(**coerced)

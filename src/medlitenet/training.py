@@ -173,8 +173,8 @@ class EmaState:
                        for name, p in self.named_params}
         self.stat_shadow = {}
         for name, state in self.named_states:
-            self.stat_shadow[name + ".mean"] = np.zeros_like(state.mean)
-            self.stat_shadow[name + ".var"] = np.zeros_like(state.var)
+            self.stat_shadow[name + ".running_mean"] = np.zeros_like(state.mean)
+            self.stat_shadow[name + ".running_var"] = np.zeros_like(state.var)
 
     def update(self):
         self.num_updates += 1
@@ -184,8 +184,8 @@ class EmaState:
             s *= d
             s += (1.0 - d) * p.data
         for name, state in self.named_states:
-            for key, live in ((name + ".mean", state.mean),
-                              (name + ".var", state.var)):
+            for key, live in ((name + ".running_mean", state.mean),
+                              (name + ".running_var", state.var)):
                 s = self.stat_shadow[key]
                 s *= d
                 s += (1.0 - d) * live
@@ -205,34 +205,20 @@ class EmaState:
 
 
 class _SwappedWeights:
-    """Temporarily substitute model parameters (used for EMA validation)."""
+    """Temporarily load other weights and BatchNorm stats (EMA validation);
+    a name missing from both tables keeps the model's own tensor."""
 
     def __init__(self, model: MedLiteNet, weights: dict, stats: dict = None):
         self.model = model
-        self.weights = weights
-        self.stats = stats or {}
-        self.saved = {}
-        self.saved_stats = {}
+        self.table = {**weights, **(stats or {})}
 
     def __enter__(self):
-        for name, p in self.model.named_parameters():
-            self.saved[name] = p.data
-            p.data = self.weights[name].astype(p.data.dtype, copy=False)
-        for name, state in self.model.named_states():
-            if name + ".mean" in self.stats:
-                self.saved_stats[name] = (state.mean, state.var)
-                state.mean = self.stats[name + ".mean"].astype(
-                    state.mean.dtype, copy=False)
-                state.var = self.stats[name + ".var"].astype(
-                    state.var.dtype, copy=False)
+        self.saved = self.model.state_dict()
+        self.model.load_state_dict({**self.saved, **self.table})
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        for name, p in self.model.named_parameters():
-            p.data = self.saved[name]
-        for name, state in self.model.named_states():
-            if name in self.saved_stats:
-                state.mean, state.var = self.saved_stats[name]
+        self.model.load_state_dict(self.saved)
         return False
 
 
@@ -407,14 +393,9 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     last_path = None
     if out is not None:
         last_path = out / "last.ckpt"
-        ema_table = ema.averaged()
-        for key, value in ema.averaged_states().items():
-            if key.endswith(".mean"):
-                ema_table[key[:-5] + ".running_mean"] = value
-            else:
-                ema_table[key[:-4] + ".running_var"] = value
         ckpt.save_checkpoint(
-            model, last_path, ema_shadow=ema_table,
+            model, last_path,
+            ema_shadow={**ema.averaged(), **ema.averaged_states()},
             optimizer_state=opt.state_dict(),
             meta={"epoch": history[-1]["epoch"] if history else -1,
                   "best_val_dice": best_val_dice})
@@ -462,33 +443,35 @@ def _tta_invert(arr: np.ndarray, name: str) -> np.ndarray:
     return np.rot90(arr, -{"rot90": 1, "rot270": 3}[name], axes=(-2, -1))
 
 
-def tta_predict(predict_fn, image: np.ndarray) -> np.ndarray:
-    """Six-fold TTA: mean of inverse-transformed predictions.
+def tta_predict(net, batch: np.ndarray) -> np.ndarray:
+    """Six-fold TTA of an NCHW batch: mean of inverse-transformed predictions.
 
-    ``predict_fn`` maps an NCHW float32 batch to an NCHW probability batch
-    (e.g. an eval-mode model).  Accumulation runs in float64 so the mean of
+    ``net`` is a model or an ``Ensemble``; it is put in eval mode and called
+    on each transformed view.  Accumulation runs in float64 so the mean of
     six identical branches reproduces them bitwise after the float32 cast.
     """
-    image = np.asarray(image, dtype=np.float32)
-    squeeze = image.ndim == 3
-    if squeeze:
-        image = image[None]
+    net.eval()
+    batch = np.asarray(batch, dtype=np.float32)
     acc = None
     for name in _TTA_NAMES:
-        transformed = np.ascontiguousarray(_tta_apply(image, name))
-        pred = np.asarray(_call_predict(predict_fn, transformed))
+        view = np.ascontiguousarray(_tta_apply(batch, name))
+        pred = net(Tensor(view)).data
         restored = np.ascontiguousarray(_tta_invert(pred, name)).astype(np.float64)
         acc = restored if acc is None else acc + restored
-    result = (acc / len(_TTA_NAMES)).astype(np.float32)
-    return result[0] if squeeze else result
+    return (acc / len(_TTA_NAMES)).astype(np.float32)
 
 
-def _call_predict(predict_fn, batch: np.ndarray) -> np.ndarray:
-    if isinstance(predict_fn, MedLiteNet):
-        predict_fn.eval()
-        return predict_fn(Tensor(batch)).data
-    out = predict_fn(batch)
-    return out.data if isinstance(out, Tensor) else np.asarray(out)
+def predict_proba(net, images: np.ndarray, tta: bool = False) -> np.ndarray:
+    """Probability maps [N, 1, H, W] of raw [N, 3, H, W] images in [0, 1].
+
+    The one prediction path of the CLI and the estimator: ImageNet
+    normalization, then the eval-mode ``net`` (a model or an ``Ensemble``),
+    through six-fold TTA when ``tta`` is set.
+    """
+    batch = normalize_imagenet(images)
+    if tta:
+        return tta_predict(net, batch)
+    return net.eval()(Tensor(batch)).data
 
 
 def ensemble_weights(val_dices: Sequence[float]) -> np.ndarray:
@@ -502,22 +485,30 @@ def ensemble_weights(val_dices: Sequence[float]) -> np.ndarray:
     return dices / dices.sum()
 
 
-def ensemble_predict(predict_fns: Sequence, val_dices: Sequence[float],
-                     image: np.ndarray) -> np.ndarray:
-    """Probability-map average weighted by each member's validation Dice."""
-    if len(predict_fns) != len(val_dices):
-        raise ValueError("one validation Dice per model is required")
-    weights = ensemble_weights(val_dices)
-    image = np.asarray(image, dtype=np.float32)
-    squeeze = image.ndim == 3
-    batch = image[None] if squeeze else image
-    acc = None
-    for w, fn in zip(weights, predict_fns):
-        pred = np.asarray(_call_predict(fn, batch), dtype=np.float64)
-        if acc is not None and pred.shape != acc.shape:
-            raise ValueError(
-                f"ensemble member output shape {pred.shape} does not match "
-                f"{acc.shape}")
-        acc = w * pred if acc is None else acc + w * pred
-    result = acc.astype(np.float32)
-    return result[0] if squeeze else result
+class Ensemble:
+    """Probability-map average weighted by each member's validation Dice.
+
+    Called like an eval-mode model: a Tensor batch in, a Tensor map out.
+    """
+
+    def __init__(self, models: Sequence, val_dices: Sequence[float]):
+        if len(models) != len(val_dices):
+            raise ValueError("one validation Dice per model is required")
+        self.weights = ensemble_weights(val_dices)
+        self.models = list(models)
+
+    def eval(self) -> "Ensemble":
+        for model in self.models:
+            model.eval()
+        return self
+
+    def __call__(self, x: Tensor) -> Tensor:
+        acc = None
+        for w, model in zip(self.weights, self.models):
+            pred = model(x).data.astype(np.float64)
+            if acc is not None and pred.shape != acc.shape:
+                raise ValueError(
+                    f"ensemble member output shape {pred.shape} does not "
+                    f"match {acc.shape}")
+            acc = w * pred if acc is None else acc + w * pred
+        return Tensor(acc.astype(np.float32))

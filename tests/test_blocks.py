@@ -374,3 +374,42 @@ class TestSCSE:
             SCSEBlock(4, rng(0))
         with pytest.raises(ShapeError, match="reduction"):
             SCSEBlock(12, rng(0))
+
+
+class TestStateDict:
+    def test_parameters_then_running_stats_as_live_arrays(self):
+        unit = ConvBnSiLU(3, 4, 3, rng(0))
+        table = unit.state_dict()
+        (bn, state), = unit.named_states()
+        params = list(unit.named_parameters())
+        assert list(table) == [n for n, _ in params] + [
+            bn + ".running_mean", bn + ".running_var"]
+        assert all(table[n] is p.data for n, p in params)
+        assert table[bn + ".running_mean"] is state.mean
+        assert table[bn + ".running_var"] is state.var
+
+    def test_load_rebinds_every_tensor(self):
+        unit = ConvBnSiLU(3, 4, 3, rng(0))
+        table = {k: v + 1 for k, v in unit.state_dict().items()}
+        assert unit.load_state_dict(table) is unit
+        assert all(unit.state_dict()[k] is v for k, v in table.items())
+
+    @pytest.mark.parametrize("case", ["missing", "unexpected", "misshaped"])
+    def test_load_names_the_bad_key_and_changes_nothing(self, case):
+        unit = ConvBnSiLU(3, 4, 3, rng(0))
+        before = unit.state_dict()
+        table = dict(before)
+        (bn, _), = unit.named_states()
+        if case == "missing":
+            del table[bn + ".running_var"]
+            match = f"missing tensor '{bn}.running_var'"
+        elif case == "unexpected":
+            table["head.bias"] = np.zeros(1, np.float32)
+            match = "unexpected tensor 'head.bias'"
+        else:
+            table["conv.weight"] = np.zeros((4, 3, 1, 1), np.float32)
+            match = r"tensor 'conv.weight' has shape \(4, 3, 1, 1\)"
+        table = {k: v.copy() for k, v in table.items()}
+        with pytest.raises(ShapeError, match=match):
+            unit.load_state_dict(table)
+        assert all(unit.state_dict()[k] is v for k, v in before.items())

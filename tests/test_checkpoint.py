@@ -1,6 +1,6 @@
 """Checkpoint file modes, the byte layout, memory while saving and loading,
-and loading checkpoints that are corrupted or whose BatchNorm statistics are
-missing or mis-shaped."""
+a whole training state round trip, and loading checkpoints that are
+corrupted or whose model tensors are missing, extra or mis-shaped."""
 
 import json
 import os
@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from medlitenet import checkpoint, cli
+from medlitenet.autodiff import Tensor
 from medlitenet.checkpoint import CheckpointError, load_checkpoint, read_checkpoint
 from medlitenet.data import synth_sample
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.netpbm import save_image_ppm
+from medlitenet.training import TrainConfig, batch_arrays, fit
 
 
 def _micro():
@@ -32,11 +34,12 @@ def _infer_exit_code(ckpt, tmp_path):
 def test_missing_running_var(tmp_path, monkeypatch):
     model = _micro()
     target = next(model.named_states())[0] + ".running_var"
-    real = checkpoint._named_tensors
-    monkeypatch.setattr(checkpoint, "_named_tensors",
-                        lambda m: [e for e in real(m) if e[0] != target])
+    real = MedLiteNet.state_dict
+    monkeypatch.setattr(MedLiteNet, "state_dict", lambda m: {
+        k: v for k, v in real(m).items() if k != target})
     path = tmp_path / "m.ckpt"
     checkpoint.save_checkpoint(model, path)
+    monkeypatch.undo()
     with pytest.raises(CheckpointError, match=f"missing tensor '{target}'"):
         load_checkpoint(path)
     assert _infer_exit_code(path, tmp_path) == 2
@@ -64,6 +67,53 @@ def test_stats_round_trip(tmp_path):
     for (_, a), (_, b) in zip(model.named_states(), loaded.named_states()):
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var, b.var)
+
+
+def test_unexpected_model_tensor(tmp_path, monkeypatch):
+    model = _micro()
+    real = MedLiteNet.state_dict
+    monkeypatch.setattr(MedLiteNet, "state_dict", lambda m: {
+        **real(m), "extra.weight": np.zeros(3, np.float32)})
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(model, path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="unexpected tensor 'extra.weight'"):
+        load_checkpoint(path)
+    assert _infer_exit_code(path, tmp_path) == 2
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fit_last_checkpoint_round_trip(tmp_path, monkeypatch):
+    """last.ckpt of a one-step fit loads back the model, its EMA shadows and
+    the AdamW state bitwise."""
+    saves = []
+    real_save = checkpoint.save_checkpoint
+    monkeypatch.setattr(checkpoint, "save_checkpoint", lambda model, path, **kw: (
+        saves.append(kw), real_save(model, path, **kw)))
+    model = MedLiteNet(ModelConfig.micro(32), seed=4)
+    train = [synth_sample(i, 32) for i in range(2)]
+    result = fit(model, train, train[:1],
+                 TrainConfig(batch_size=2, accumulation=1, epochs=1, seed=4),
+                 out_dir=tmp_path, max_steps=1)
+    monkeypatch.undo()
+    loaded, extras = load_checkpoint(result.last_checkpoint)
+
+    want, got = model.state_dict(), loaded.state_dict()
+    assert list(got) == list(want)
+    assert all(_bitwise_equal(got[k], want[k]) for k in want)
+    ema, opt = saves[-1]["ema_shadow"], saves[-1]["optimizer_state"]
+    assert list(extras["ema_shadow"]) == list(ema) == list(want)
+    assert all(_bitwise_equal(extras["ema_shadow"][k], ema[k]) for k in ema)
+    assert extras["optimizer_state"]["step"] == opt["step"] == 1
+    for moment in ("exp_avg", "exp_avg_sq"):
+        stored = extras["optimizer_state"][moment]
+        assert list(stored) == list(opt[moment])
+        assert all(_bitwise_equal(stored[k], opt[moment][k]) for k in stored)
+    x = Tensor(batch_arrays(train)[0])
+    assert _bitwise_equal(loaded.eval()(x).data, model.eval()(x).data)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)

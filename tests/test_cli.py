@@ -3,7 +3,7 @@ and synth -> train -> infer -> eval end to end."""
 
 import pytest
 
-from medlitenet import checkpoint, cli
+from medlitenet import checkpoint, cli, training
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.runconfig import load_run_config
 
@@ -30,8 +30,8 @@ def test_eval_model_on_dataset(mode, dataset, tmp_path, capsys, monkeypatch):
               "ensemble": ["--ensemble", a, b],
               "ensemble_tta": ["--ensemble", a, b, "--tta"]}[mode]
     tta_calls = []
-    real_tta = cli.tta_predict
-    monkeypatch.setattr(cli, "tta_predict",
+    real_tta = training.tta_predict
+    monkeypatch.setattr(training, "tta_predict",
                         lambda fn, batch: tta_calls.append(1) or real_tta(fn, batch))
     rows_csv = tmp_path / "rows.csv"
     code = cli.main(["eval", *source, "--dataset", str(dataset),

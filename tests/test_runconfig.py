@@ -38,7 +38,7 @@ def test_resolved_echo_loads_back(tmp_path):
 
 @pytest.mark.parametrize("raw, match", [
     ({"modle": {}}, "config key 'modle' is not recognized"),
-    ({"train": {"epoch": 3}}, r"config key train\.'epoch' is not recognized"),
+    ({"train": {"epoch": 3}}, r"config key train\.epoch is not recognized"),
     ({"model": {"stage_widths": 32}}, r"model\.stage_widths must be a list"),
     ({"augment": {"gamma": "0.8"}}, r"augment\.gamma must be a list"),
     ({"data": [1, 2]}, "section 'data' must be a mapping"),

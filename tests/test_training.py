@@ -1,7 +1,8 @@
 """AdamW, the cosine schedule, clipping and EMA against hand values; AdamW's
 guard against non-finite gradients; the lifetime of the tape in ``fit`` and
 in backward; ``fit`` repeating itself bitwise; and fused BatchNorm->SiLU
-units leaving training bitwise unchanged."""
+units leaving training bitwise unchanged; the Dice-weighted ensemble, TTA
+and the shared prediction path."""
 
 import gc
 import tracemalloc
@@ -18,18 +19,21 @@ from medlitenet.autodiff import (
     batchnorm2d,
     silu,
 )
-from medlitenet.data import synth_sample
+from medlitenet.data import normalize_imagenet, synth_sample
 from medlitenet.losses import total_loss
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.training import (
     AdamW,
     EmaState,
+    Ensemble,
     NumericalError,
     TrainConfig,
     batch_arrays,
     clip_grad_norm,
     cosine_lr,
     fit,
+    predict_proba,
+    tta_predict,
 )
 
 
@@ -222,3 +226,57 @@ def test_two_micro_fits_are_bitwise_equal():
     assert len(first.step_losses) == 4
     assert first.step_losses == second.step_losses
     assert first.history == second.history
+
+
+class _Constant:
+    """A model stub whose map is ``value`` at every pixel."""
+
+    def __init__(self, value, channels=1):
+        self.value, self.channels = value, channels
+
+    def __call__(self, x):
+        n, _, h, w = x.shape
+        return Tensor(np.full((n, self.channels, h, w), self.value, np.float32))
+
+
+def test_ensemble_weights_members_by_val_dice():
+    ensemble = Ensemble([_Constant(0.25), _Constant(0.75)], [0.6, 0.4])
+    out = ensemble(Tensor(np.zeros((2, 3, 32, 64), np.float32)))
+    # 0.6 * 0.25 + 0.4 * 0.75
+    assert np.array_equal(out.data, np.full((2, 1, 32, 64), np.float32(0.45)))
+    assert out.data.dtype == np.float32
+
+
+def test_ensemble_rejects_mismatched_members():
+    with pytest.raises(ValueError, match="one validation Dice per model"):
+        Ensemble([_Constant(0.5)], [0.5, 0.5])
+    ensemble = Ensemble([_Constant(0.5), _Constant(0.5, channels=2)], [0.5, 0.5])
+    with pytest.raises(ValueError, match="output shape"):
+        ensemble(Tensor(np.zeros((1, 3, 32, 32), np.float32)))
+
+
+class _Pointwise:
+    """Maps each pixel on its own, so it commutes with every flip and rotation."""
+
+    def eval(self):
+        return self
+
+    def __call__(self, x):
+        return Tensor(np.tanh(x.data[:, :1] - 2 * x.data[:, 2:]))
+
+
+def test_tta_inverts_every_view():
+    # non-square, so a rotation left uninverted changes the shape or the values
+    x = np.random.default_rng(0).standard_normal((1, 3, 32, 64)).astype(np.float32)
+    net = _Pointwise()
+    assert tta_predict(net, x).tobytes() == net(Tensor(x)).data.tobytes()
+
+
+def test_predict_proba_normalizes_then_runs_the_eval_model():
+    net = MedLiteNet(ModelConfig.micro(32), seed=0)
+    x = np.random.default_rng(1).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
+    prob = predict_proba(net, x)
+    assert not net.training
+    assert prob.tobytes() == net(Tensor(normalize_imagenet(x))).data.tobytes()
+    assert predict_proba(net, x, tta=True).tobytes() == \
+        tta_predict(net, normalize_imagenet(x)).tobytes()
