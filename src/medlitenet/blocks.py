@@ -45,6 +45,20 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+def check_tensor_table(table: dict, expected: dict) -> None:
+    """Raise ``ShapeError`` unless ``table`` holds exactly the names of
+    ``expected``, each with the shape of ``expected``'s array."""
+    for name, arr in expected.items():
+        if name not in table:
+            raise ShapeError(f"missing tensor {name!r}")
+        if table[name].shape != arr.shape:
+            raise ShapeError(f"tensor {name!r} has shape {table[name].shape}, "
+                             f"model expects {arr.shape}")
+    for name in table:
+        if name not in expected:
+            raise ShapeError(f"unexpected tensor {name!r}")
+
+
 class Module:
     """Minimal parameter container with recursive named traversal."""
 
@@ -97,16 +111,7 @@ class Module:
         A missing, unexpected or misshaped name raises ``ShapeError`` before
         anything is rebound.
         """
-        current = self.state_dict()
-        for name, arr in current.items():
-            if name not in table:
-                raise ShapeError(f"missing tensor {name!r}")
-            if table[name].shape != arr.shape:
-                raise ShapeError(f"tensor {name!r} has shape {table[name].shape}, "
-                                 f"model expects {arr.shape}")
-        for name in table:
-            if name not in current:
-                raise ShapeError(f"unexpected tensor {name!r}")
+        check_tensor_table(table, self.state_dict())
         for name, p in self.named_parameters():
             p.data = table[name]
         for name, state in self.named_states():

@@ -12,6 +12,10 @@ best validation Dice).  Model tensors are stored under their
 ``Module.state_dict`` names, the one naming scheme of parameters and
 BatchNorm running stats; EMA shadows use the same names under ``ema/`` and
 optimizer moments under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
+
+Loading checks the header through ``errors.parse``, as a YAML ``model:``
+section, and each tensor table by name and shape; a fault is a
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import ShapeError
-from .model import ConfigError, MedLiteNet, ModelConfig
+from .blocks import check_tensor_table
+from .errors import ConfigError, parse
+from .model import MedLiteNet, ModelConfig
 from .netpbm import atomic_write
 
 MAGIC = b"MLN1"
@@ -128,17 +134,9 @@ class _Reader:
             raise CheckpointError(
                 f"{what} at byte offset {self.pos - n} is not utf-8: {exc}") from exc
 
-    def u8(self, what):
-        return self.take(1, what)[0]
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt: str, what: str) -> int:
+        """One little-endian unsigned integer of struct format ``fmt``."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def read_checkpoint(path) -> tuple:
@@ -153,29 +151,29 @@ def read_checkpoint(path) -> tuple:
         if magic != MAGIC:
             raise CheckpointError(
                 f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}")
-        version = r.u32("version")
+        version = r.unpack("<I", "version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} at byte offset 4")
-        json_len = r.u32("json length")
+        json_len = r.unpack("<I", "json length")
         try:
             payload = json.loads(r.text(json_len, "json payload"))
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"invalid json payload: {exc}") from exc
         if not isinstance(payload, dict):
             raise CheckpointError("json payload is not an object")
-        count = r.u32("tensor count")
+        count = r.unpack("<I", "tensor count")
         tensors = {}
         for i in range(count):
-            name_len = r.u16(f"name length of tensor {i}")
+            name_len = r.unpack("<H", f"name length of tensor {i}")
             name = r.text(name_len, f"name of tensor {i}")
-            dtype = r.u8(f"dtype of {name}")
+            dtype = r.unpack("<B", f"dtype of {name}")
             if dtype != _DTYPE_F32:
                 raise CheckpointError(
                     f"unknown dtype code {dtype} for tensor {name!r} at byte "
                     f"offset {r.pos - 1}")
-            rank = r.u8(f"rank of {name}")
-            dims = tuple(r.u64(f"dim {d} of {name}") for d in range(rank))
+            rank = r.unpack("<B", f"rank of {name}")
+            dims = tuple(r.unpack("<Q", f"dim {d} of {name}") for d in range(rank))
             tensors[name] = r.array(dims, f"data of {name}")
         if r.pos != r.size:
             raise CheckpointError(
@@ -183,42 +181,65 @@ def read_checkpoint(path) -> tuple:
     return payload, tensors
 
 
+def _stored_tables(model: MedLiteNet, tensors: dict) -> dict:
+    """``tensors`` as ``{prefix: {name: array}}``, each table checked against
+    ``model``; returning drops the references to its initial arrays."""
+    state = model.state_dict()
+    params = {name: p.data for name, p in model.named_parameters()}
+    tables = {"": state}
+    if any(name.startswith("ema/") for name in tensors):
+        tables["ema/"] = state
+    if any(name.startswith("opt/") for name in tensors):
+        tables["opt/exp_avg/"] = tables["opt/exp_avg_sq/"] = params
+    check_tensor_table(tensors, {prefix + name: arr
+                                 for prefix, table in tables.items()
+                                 for name, arr in table.items()})
+    return {prefix: {name: tensors[prefix + name] for name in table}
+            for prefix, table in tables.items()}
+
+
 def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tuple:
     """Rebuild the model from a checkpoint.
+
+    The stored config is parsed as a YAML ``model`` section; ``seed`` and
+    ``meta.optimizer_step`` must be non-negative integers.  The tensors must
+    be the model's ``state_dict``, optionally again under ``ema/``, and its
+    parameters under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``, by name and
+    shape.  Any fault raises ``CheckpointError``.
 
     Returns (model, extras) where extras carries ``ema_shadow``,
     ``optimizer_state`` (or None) and the stored ``meta`` dict.
     """
     payload, tensors = read_checkpoint(path)
     try:
-        config = ModelConfig.from_dict(payload["config"])
-        config.validate()
-    except (KeyError, TypeError, ConfigError) as exc:
+        config = parse(ModelConfig, payload.get("config"), "model").validate()
+    except ConfigError as exc:
         raise CheckpointError(f"invalid stored config: {exc}") from exc
-    if expected_config is not None and expected_config.to_dict() != config.to_dict():
-        diff = [k for k, v in config.to_dict().items()
-                if expected_config.to_dict().get(k) != v]
+    want = (expected_config or config).to_dict()
+    diff = [k for k, v in config.to_dict().items() if want[k] != v]
+    if diff:
         raise CheckpointError(
             f"checkpoint config does not match requested build "
             f"(differs in: {', '.join(diff)})")
+    seed, meta = payload.get("seed", 0), payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"stored meta must be an object, got {meta!r}")
+    step = meta.get("optimizer_step", 0)
+    for key, value in (("seed", seed), ("meta.optimizer_step", step)):
+        if type(value) is not int or value < 0:
+            raise CheckpointError(
+                f"stored {key} must be a non-negative integer, got {value!r}")
 
-    model = MedLiteNet(config, seed=int(payload.get("seed", 0)))
+    model = MedLiteNet(config, seed=seed)
     try:
-        model.load_state_dict({name: arr for name, arr in tensors.items()
-                               if not name.startswith(("ema/", "opt/"))})
+        stored = _stored_tables(model, tensors)
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint does not fit the model: {exc}") from exc
-
-    ema_shadow = {name[len("ema/"):]: arr for name, arr in tensors.items()
-                  if name.startswith("ema/")} or None
+    model.load_state_dict(stored[""])
     opt_state = None
-    avg = {name[len("opt/exp_avg/"):]: arr for name, arr in tensors.items()
-           if name.startswith("opt/exp_avg/")}
-    avg_sq = {name[len("opt/exp_avg_sq/"):]: arr for name, arr in tensors.items()
-              if name.startswith("opt/exp_avg_sq/")}
-    if avg:
-        opt_state = {"exp_avg": avg, "exp_avg_sq": avg_sq,
-                     "step": int(payload.get("meta", {}).get("optimizer_step", 0))}
-    extras = {"ema_shadow": ema_shadow, "optimizer_state": opt_state,
-              "meta": payload.get("meta", {}), "config": config}
+    if "opt/exp_avg/" in stored:
+        opt_state = {"exp_avg": stored["opt/exp_avg/"],
+                     "exp_avg_sq": stored["opt/exp_avg_sq/"], "step": step}
+    extras = {"ema_shadow": stored.get("ema/"), "optimizer_state": opt_state,
+              "meta": meta, "config": config}
     return model, extras

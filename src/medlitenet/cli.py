@@ -240,10 +240,10 @@ def _load_ensemble(paths) -> Ensemble:
     for path in paths:
         model, extras = load_checkpoint(path)
         stored = extras["meta"].get("best_val_dice")
-        if stored is None:
+        if type(stored) not in (int, float) or not np.isfinite(stored):
             raise ConfigError(
-                f"checkpoint {path} has no stored best_val_dice; cannot "
-                f"weight the ensemble")
+                f"checkpoint {path} stores no finite best_val_dice, got "
+                f"{stored!r}; cannot weight the ensemble")
         models.append(model)
         dices.append(float(stored))
     return Ensemble(models, dices)

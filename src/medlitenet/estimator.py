@@ -10,10 +10,12 @@ with ``sklearn.base.clone``, pipelines and model-selection utilities.
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 
 from .data import AugmentConfig, SegmentationSample
+from .errors import parse
 from .model import MedLiteNet, ModelConfig, predict_mask
 from .metrics import dice_coef
 from .training import TrainConfig, fit, predict_proba
@@ -135,20 +137,13 @@ class MedLiteNetSegmenter:
         if not val_samples:
             val_samples = train_samples
 
-        config = ModelConfig(
-            input_size=X.shape[2] if X.shape[2] == X.shape[3] else 32 * 8,
-            stage_widths=tuple(self.stage_widths),
-            trans_dim=self.trans_dim, trans_layers=self.trans_layers,
-            trans_heads=self.trans_heads,
-            decoder_widths=tuple(self.decoder_widths),
-            aspp_branch_width=self.aspp_branch_width,
-            aspp_out_channels=self.aspp_out_channels,
-            expansion=self.expansion, width_mult=self.width_mult)
-        train_config = TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs, lr0=self.lr0,
-            weight_decay=self.weight_decay, clip_norm=self.clip_norm,
-            ema_decay=self.ema_decay, accumulation=self.accumulation,
-            seed=self.seed, augment=self.use_augment)
+        # the parameters named like a config field fill that field
+        params = {**self.get_params(), "augment": self.use_augment,
+                  "input_size": X.shape[2] if X.shape[2] == X.shape[3] else 32 * 8}
+        config, train_config = (
+            parse(cls, {k: v for k, v in params.items()
+                        if k in {f.name for f in fields(cls)}}, section)
+            for cls, section in ((ModelConfig, "model"), (TrainConfig, "train")))
 
         self.model_ = MedLiteNet(config, seed=self.seed)
         result = fit(self.model_, train_samples, val_samples, train_config,

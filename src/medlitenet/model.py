@@ -97,8 +97,8 @@ class ModelConfig:
                 self.aspp_rates)
         require(len(self.decoder_widths) == 4, "model.decoder_widths",
                 "must be four decoder widths", self.decoder_widths)
-        require(self.width_mult > 0, "model.width_mult", "must be positive",
-                self.width_mult)
+        require(self.width_mult > 0 and np.isfinite(self.width_mult),
+                "model.width_mult", "must be positive and finite", self.width_mult)
         scaled = self.scaled_decoder_widths()
         require(all(w % self.scse_reduction == 0 for w in scaled),
                 "model.decoder_widths",
@@ -118,14 +118,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown ModelConfig keys: {sorted(unknown)}")
-        return cls(**d)
 
     @classmethod
     def micro(cls, input_size: int = 64) -> "ModelConfig":

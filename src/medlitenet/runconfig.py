@@ -1,19 +1,21 @@
-"""YAML run configuration: model / train / data / paths sections.
+"""YAML run configuration: model / train / data / augment / paths sections.
 
-An empty (or absent) file yields the documented defaults; unknown keys are
-rejected with their full dotted path; CLI flags override individual keys.
+An empty (or absent) file yields the documented defaults; ``errors.parse``
+checks each key's type and rejects unknown keys with their full dotted path;
+CLI flags override individual keys.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .data import AugmentConfig
-from .errors import ConfigError, require
+from .errors import parse, require
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -55,67 +57,13 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self):
-        self.model.validate()
-        self.train.validate()
-        self.data.validate()
-        self.augment.validate()
+        for section in (self.model, self.train, self.data, self.augment):
+            section.validate()
         return self
 
     def to_dict(self) -> dict:
-        d = {
-            "model": asdict(self.model),
-            "train": asdict(self.train),
-            "data": asdict(self.data),
-            "augment": asdict(self.augment),
-            "paths": asdict(self.paths),
-        }
-        # yaml-friendly: tuples -> lists
-        return _tuples_to_lists(d)
-
-
-_SECTION_TYPES = {
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "data": DataConfig,
-    "augment": AugmentConfig,
-    "paths": PathsConfig,
-}
-
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-def _checked(dotted: str, value, default):
-    """``value`` if it has the type of the field's ``default``, else ConfigError.
-
-    A tuple field takes a list of its default's element type, an int is a
-    valid float but a bool is no number, and a ``None`` default (an optional
-    path) takes a string or null.
-    """
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config key {dotted} must be a list, got {value!r}")
-        return tuple(_checked(f"{dotted}[{i}]", v, default[0])
-                     for i, v in enumerate(value))
-    if default is None:
-        ok, name = value is None or isinstance(value, str), "a string or null"
-    else:
-        kind = type(default)
-        number = (int, float) if kind is float else kind
-        ok = isinstance(value, number) and (
-            kind is bool or not isinstance(value, bool))
-        name = _KIND_NAMES[kind]
-    if not ok:
-        raise ConfigError(f"config key {dotted} must be {name}, got {value!r}")
-    return value
-
-
-def _tuples_to_lists(obj):
-    if isinstance(obj, dict):
-        return {k: _tuples_to_lists(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return [_tuples_to_lists(v) for v in obj]
-    return obj
+        # yaml-friendly: the json round trip turns tuples into lists
+        return json.loads(json.dumps(asdict(self)))
 
 
 class _Loader(yaml.SafeLoader):
@@ -136,43 +84,12 @@ _Loader.add_implicit_resolver(
 
 def load_run_config(path=None) -> RunConfig:
     """Parse a YAML config file; a missing/empty file gives the defaults."""
-    raw = {}
-    if path is not None:
-        text = Path(path).read_text()
-        loaded = yaml.load(text, Loader=_Loader)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError("config: top level must be a mapping")
-        raw = loaded
-    return run_config_from_dict(raw)
+    raw = None if path is None else yaml.load(Path(path).read_text(), Loader=_Loader)
+    return run_config_from_dict({} if raw is None else raw)
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
-    unknown = set(raw) - set(_SECTION_TYPES)
-    if unknown:
-        raise ConfigError(f"config key {sorted(unknown)[0]!r} is not recognized")
-    kwargs = {}
-    for section, cls in _SECTION_TYPES.items():
-        body = raw.get(section, {})
-        if body is None:
-            body = {}
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        defaults = {f.name: f.default for f in fields(cls)}
-        coerced = {}
-        for key, value in body.items():
-            if key not in defaults:
-                raise ConfigError(
-                    f"config key {section}.{key} is not recognized")
-            coerced[key] = _checked(f"{section}.{key}", value, defaults[key])
-        try:
-            kwargs[section] = cls(**coerced)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config section {section}: {exc}") from exc
-    config = RunConfig(**kwargs)
-    config.validate()
-    return config
+    return parse(RunConfig, raw).validate()
 
 
 def dump_resolved(config: RunConfig, path) -> None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -55,9 +55,6 @@ class TrainConfig:
         require(self.weight_decay >= 0, "train.weight_decay",
                 "must be non-negative", self.weight_decay)
         return self
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +351,16 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
             with _SwappedWeights(model, ema.averaged(), ema.averaged_states()):
                 val_stats = evaluate(model, val_samples, config.batch_size,
                                      loss_config)
+                if val_stats["dice"] > best_val_dice:
+                    best_val_dice = val_stats["dice"]
+                    best_epoch = epoch
+                    if out is not None:
+                        # the weights that actually scored best: the EMA
+                        # evaluation weights and their stats
+                        ckpt.save_checkpoint(
+                            model, out / "best.ckpt",
+                            meta={"epoch": epoch,
+                                  "best_val_dice": best_val_dice})
             val_row = {"epoch": epoch, "split": "val", "lr": lr, **val_stats}
             history.extend([train_row, val_row])
             for row in (train_row, val_row):
@@ -371,19 +378,6 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                        f"dice {train_row['dice']:.4f}  "
                        f"val loss {val_row['loss']:.4f} "
                        f"dice {val_row['dice']:.4f}")
-
-            if val_row["dice"] > best_val_dice:
-                best_val_dice = val_row["dice"]
-                best_epoch = epoch
-                if out is not None:
-                    # the best checkpoint stores the weights that actually
-                    # scored best: the EMA evaluation weights and their stats
-                    with _SwappedWeights(model, ema.averaged(),
-                                         ema.averaged_states()):
-                        ckpt.save_checkpoint(
-                            model, out / "best.ckpt",
-                            meta={"epoch": epoch,
-                                  "best_val_dice": best_val_dice})
             if stop:
                 break
     finally:

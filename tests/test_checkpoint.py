@@ -1,6 +1,7 @@
 """Checkpoint file modes, the byte layout, memory while saving and loading,
 a whole training state round trip, and loading checkpoints that are
-corrupted or whose model tensors are missing, extra or mis-shaped."""
+corrupted, whose header holds a malformed config, seed or meta, or whose
+model, EMA or optimizer tensors are missing, extra or mis-shaped."""
 
 import json
 import os
@@ -10,13 +11,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from medlitenet import checkpoint, cli
 from medlitenet.autodiff import Tensor
 from medlitenet.checkpoint import CheckpointError, load_checkpoint, read_checkpoint
 from medlitenet.data import synth_sample
+from medlitenet.errors import ConfigError
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.netpbm import save_image_ppm
+from medlitenet.runconfig import load_run_config
 from medlitenet.training import TrainConfig, batch_arrays, fit
 
 
@@ -239,3 +243,147 @@ def test_malformed_record_is_checkpoint_error(tmp_path, field, value, match):
     path.write_bytes(bytes(buf))
     with pytest.raises(CheckpointError, match=match):
         read_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    """Rewrite the json header of the checkpoint at ``path`` through ``edit``."""
+    buf = path.read_bytes()
+    json_len = struct.unpack_from("<I", buf, 8)[0]
+    payload = json.loads(buf[12:12 + json_len])
+    edit(payload)
+    blob = json.dumps(payload).encode()
+    path.write_bytes(buf[:8] + struct.pack("<I", len(blob)) + blob
+                     + buf[12 + json_len:])
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    assert cli.main(["synth", "--count", "1", "--size", "64", "--out", str(root)]) == 0
+    return root
+
+
+def _cli_exit_codes(ckpt, tmp_path, dataset):
+    """The exit codes of ``infer`` and ``eval --ensemble`` on ``ckpt``."""
+    return (_infer_exit_code(ckpt, tmp_path),
+            cli.main(["eval", "--ensemble", str(ckpt), "--dataset", str(dataset)]))
+
+
+# one malformed `model` section per case, as a YAML file or a checkpoint
+# header holds it, and the dotted key the error must name
+BAD_MODEL_SECTIONS = {
+    "float_expansion": ({"expansion": 2.5},
+                        r"config key model\.expansion must be an integer, got 2\.5"),
+    "float_decoder_width": ({"decoder_widths": [16, 16, 16, 8.0]},
+                            r"model\.decoder_widths\[3\] must be an integer"),
+    "float_aspp_rate": ({"aspp_rates": [1, 2, 3, 4.5]},
+                        r"model\.aspp_rates\[3\] must be an integer"),
+    "bool_in_channels": ({"in_channels": True},
+                         r"model\.in_channels must be an integer, got True"),
+    "unknown_key": ({"stem_channels": 8},
+                    r"config key model\.stem_channels is not recognized"),
+    "not_a_mapping": ([8, 16], r"config section 'model' must be a mapping"),
+    "infinite_width_mult": ({"width_mult": float("inf")},
+                            r"model\.width_mult must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_SECTIONS))
+def test_bad_model_section_names_its_key_in_yaml_and_checkpoint(
+        tmp_path, dataset, case):
+    bad, match = BAD_MODEL_SECTIONS[case]
+    micro = json.loads(json.dumps(ModelConfig.micro(64).to_dict()))
+    section = {**micro, **bad} if isinstance(bad, dict) else bad
+
+    yaml_path = tmp_path / "run.yaml"
+    yaml_path.write_text(yaml.safe_dump({"model": section}))
+    with pytest.raises(ConfigError, match=match):
+        load_run_config(yaml_path)
+
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(_micro(), path, meta={"best_val_dice": 0.5})
+    _rewrite_header(path, lambda payload: payload.update(config=section))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    assert _cli_exit_codes(path, tmp_path, dataset) == (2, 2)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("seed", None, "stored seed must be a non-negative integer, got None"),
+    ("seed", True, "stored seed must be a non-negative integer, got True"),
+    ("meta", "x", "stored meta must be an object, got 'x'"),
+    ("meta", {"optimizer_step": 1.5},
+     r"stored meta\.optimizer_step must be a non-negative integer, got 1\.5"),
+], ids=["null_seed", "bool_seed", "string_meta", "float_step"])
+def test_bad_header_value_is_checkpoint_error(tmp_path, dataset, key, value, match):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(_micro(), path, meta={"best_val_dice": 0.5})
+    assert _cli_exit_codes(path, tmp_path, dataset) == (0, 0)
+    _rewrite_header(path, lambda payload: payload.update({key: value}))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    assert _cli_exit_codes(path, tmp_path, dataset) == (2, 2)
+
+
+@pytest.mark.parametrize("dice", ["high", float("nan")], ids=["string", "nan"])
+def test_ensemble_member_without_finite_dice_names_its_path(tmp_path, dataset,
+                                                            capsys, dice):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(_micro(), path, meta={"best_val_dice": dice})
+    assert cli.main(["eval", "--ensemble", str(path), "--dataset",
+                     str(dataset)]) == 2
+    assert (f"checkpoint {path} stores no finite best_val_dice, got {dice!r}"
+            in capsys.readouterr().err)
+
+
+def _full_state(model):
+    """An EMA table and AdamW moments with the model's own names and shapes."""
+    state = model.state_dict()
+    params = {name: p.data for name, p in model.named_parameters()}
+    return (dict(state),
+            {"step": 3, "exp_avg": dict(params), "exp_avg_sq": dict(params)})
+
+
+def _bad_ema_shape(ema, opt):
+    ema["stem.conv.weight"] = np.zeros(5, np.float32)
+
+
+def _missing_ema(ema, opt):
+    del ema[next(reversed(ema))]
+
+
+def _extra_ema(ema, opt):
+    ema["bogus"] = np.zeros(1, np.float32)
+
+
+def _opt_only_x(ema, opt):
+    opt["exp_avg"] = {"x": np.zeros(1, np.float32)}
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_bad_ema_shape, r"tensor 'ema/stem\.conv\.weight' has shape \(5,\)"),
+    (_missing_ema, r"missing tensor 'ema/.*\.running_var'"),
+    (_extra_ema, "unexpected tensor 'ema/bogus'"),
+    (_opt_only_x, r"missing tensor 'opt/exp_avg/stem\.conv\.weight'"),
+], ids=["ema_shape", "ema_missing", "ema_extra", "opt_only_x"])
+def test_ema_and_optimizer_tables_must_fit_the_model(tmp_path, edit, match):
+    model = _micro()
+    ema, opt = _full_state(model)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(model, path, ema_shadow=ema, optimizer_state=opt)
+    _, extras = load_checkpoint(path)
+    assert list(extras["ema_shadow"]) == list(ema)
+    assert extras["optimizer_state"]["step"] == 3
+
+    edit(ema, opt)
+    checkpoint.save_checkpoint(model, path, ema_shadow=ema, optimizer_state=opt)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_expected_config_names_the_differing_keys(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(_micro(), path)
+    assert load_checkpoint(path, ModelConfig.micro(64))[0].config == ModelConfig.micro(64)
+    with pytest.raises(CheckpointError, match=r"\(differs in: input_size\)$"):
+        load_checkpoint(path, ModelConfig.micro(32))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from medlitenet.data import synth_sample
+from medlitenet.errors import ConfigError
 from medlitenet.estimator import MedLiteNetSegmenter, NotFittedError
 
 
@@ -43,6 +44,14 @@ def test_predict_before_fit_raises(data):
         with pytest.raises(NotFittedError, match="not fitted"):
             method(data[0])
     assert isinstance(NotFittedError("x"), (ValueError, AttributeError))
+
+
+def test_fit_checks_config_types_naming_the_key(data):
+    with pytest.raises(ConfigError, match=r"model\.expansion must be an "
+                                          r"integer, got 2\.5"):
+        MedLiteNetSegmenter(expansion=2.5).fit(*data)
+    with pytest.raises(ConfigError, match=r"train\.epochs must be an integer"):
+        MedLiteNetSegmenter(epochs="1").fit(*data)
 
 
 def test_fit_returns_self_with_fitted_state(fitted):

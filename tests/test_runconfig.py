@@ -37,12 +37,14 @@ def test_resolved_echo_loads_back(tmp_path):
 
 
 @pytest.mark.parametrize("raw, match", [
-    ({"modle": {}}, "config key 'modle' is not recognized"),
+    ({"modle": {}}, "config key modle is not recognized"),
     ({"train": {"epoch": 3}}, r"config key train\.epoch is not recognized"),
     ({"model": {"stage_widths": 32}}, r"model\.stage_widths must be a list"),
     ({"augment": {"gamma": "0.8"}}, r"augment\.gamma must be a list"),
     ({"data": [1, 2]}, "section 'data' must be a mapping"),
-], ids=["section", "key", "tuple_scalar", "tuple_string", "section_list"])
+    ([1, 2], "config top level must be a mapping"),
+], ids=["section", "key", "tuple_scalar", "tuple_string", "section_list",
+        "top_level_list"])
 def test_unknown_keys_and_non_lists(raw, match):
     with pytest.raises(ConfigError, match=match):
         run_config_from_dict(raw)
