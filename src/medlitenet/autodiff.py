@@ -24,6 +24,7 @@ the same element-wise float ops, so the result is bitwise the same.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -639,10 +640,10 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
            bias: Optional[Tensor] = None) -> Tensor:
     """Dense or depthwise, strided/dilated 2-D convolution.
 
-    Depthwise specs run as k*k multiply-adds per channel block on the
-    input's stride phases, unpadded stride-1 dense 1x1 specs as one batched
-    matmul, and every other spec as an einsum over the input's sliding
-    windows.
+    Depthwise specs run per channel block as a matrix of the k*k tap
+    windows of the input's stride phases times the weights (one batched
+    matmul), unpadded stride-1 dense 1x1 specs as one batched matmul, and
+    every other spec as an einsum over the input's sliding windows.
     """
     _check_conv_args(x, weight, spec, bias)
     if spec.depthwise:
@@ -672,7 +673,9 @@ def _tap_slice(ki: int, li: int, spec: Conv2dSpec, ho: int, wo: int) -> tuple:
             slice(ki * d, ki * d + s * ho, s), slice(li * d, li * d + s * wo, s))
 
 
-# Scratch bytes of one depthwise channel block: small enough to stay in L2.
+# Scratch bytes of one depthwise channel block, counting its k*k tap
+# matrices: small enough to stay in L2.  1 MiB ran the model's depthwise
+# shapes faster than 0.5, 2 or 4 MiB.
 _DW_BLOCK_BYTES = 1 << 20
 
 
@@ -700,52 +703,61 @@ def _channel_blocks(n: int, c: int, channel_bytes: int,
 
 def _block_view(buf: np.ndarray, n: int, mb: int, *shape) -> np.ndarray:
     """The first n*mb*prod(shape) elements of a flat scratch buffer, shaped."""
-    return buf[:n * mb * int(np.prod(shape))].reshape(n, mb, *shape)
+    return buf[:n * mb * math.prod(shape)].reshape(n, mb, *shape)
 
 
 def _conv_depthwise(x: Tensor, weight: Tensor, spec: Conv2dSpec):
-    """Depthwise conv, one block of channels at a time, on stride phases.
+    """Depthwise conv as tap matrices times the weights, per channel block.
 
     Each block of the input is copied into s*s zero-bordered phases
-    [n, m, s*s, hq, wq] of its padded image.  Tap (ki, li) then reads phase
-    (ki*d mod s, li*d mod s) as one contiguous run of ``span`` elements,
-    laid out at row width wq; the wq-wo columns past each output row are
-    dropped when a block is copied out.  Backward rebuilds the phases from
-    ``x``, so no padded copy stays on the tape.
+    [n, m, s*s, hq, wq] of its padded image.  Tap (ki, li) reads phase
+    (ki*d mod s, li*d mod s) as one contiguous run of ``span`` elements at
+    row width wq.  The k*k runs form one tap matrix [n, m, k*k, span], and
+    one matmul with the block's weights [m, 1, k*k] computes the block; the
+    wq-wo columns past each output row are dropped when it is copied out.
+
+    Backward copies ``g`` at row width wq into a buffer that is zero around
+    it.  Phase q's gradient at flat index j is the sum of w_t * g[j - off_t]
+    over the taps t of phase q, so those shifted copies of ``g`` form one
+    tap matrix: times the taps' weights it gives the phase gradient, and
+    times the phase it gives their weight gradients.  Backward rebuilds the
+    phases from ``x``, so no padded copy stays on the tape.
     """
     n, c, h, w = x.shape
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
-    ho, wo = spec.out_size(h), spec.out_size(w)
+    kk, ho, wo = k * k, spec.out_size(h), spec.out_size(w)
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-    ss, span, dt = s * s, (ho - 1) * wq + wo, x.data.dtype
-    taps = [(ki, li, (ki * d % s) * s + li * d % s, (ki * d // s) * wq + li * d // s)
-            for ki in range(k) for li in range(k)]
+    ss, hw, span, dt = s * s, hq * wq, (ho - 1) * wq + wo, x.data.dtype
+    taps = [((ki * d % s) * s + li * d % s, (ki * d // s) * wq + li * d // s)
+            for ki in range(k) for li in range(k)]      # (phase, offset)
     fills = [(a * s + b, _phase_rows(a, s, p, h), _phase_rows(b, s, p, w))
              for a in range(s) for b in range(s)]
-    wt = weight.data[:, 0]                        # [C, K, K]
+    wt = weight.data.reshape(c, 1, kk)
 
     def load_phases(ph, cb):
         for q, (rq, rx), (cq, cx) in fills:
             ph[:, :, q, rq, cq] = x.data[:, cb, rx, cx]
-        return ph.reshape(ph.shape[0], ph.shape[1], ss, hq * wq)
+        return ph.reshape(ph.shape[0], ph.shape[1], ss, hw)
 
-    m, blocks = _channel_blocks(n, c, dt.itemsize * (ss * hq * wq + ho * wq + span))
-    ph_buf = np.zeros(n * m * ss * hq * wq, dt)   # borders stay zero across blocks
+    m, blocks = _channel_blocks(n, c, dt.itemsize * (ss * hw + kk * span + ho * wq))
+    ph_buf = np.zeros(n * m * ss * hw, dt)        # borders stay zero across blocks
+    tap_buf = np.empty(n * m * kk * span, dt)
     acc_buf = np.empty(n * m * ho * wq, dt)
-    tmp_buf = np.empty(n * m * span, dt)
     out_data = np.empty((n, c, ho, wo), dt)
     for cb in blocks:
         mb = cb.stop - cb.start
         phf = load_phases(_block_view(ph_buf, n, mb, ss, hq, wq), cb)
-        acc = _block_view(acc_buf, n, mb, ho * wq)
-        tmp = _block_view(tmp_buf, n, mb, span)
-        ki, li, q, off = taps[0]
-        np.multiply(phf[:, :, q, off:off + span], wt[cb, ki, li, None],
-                    out=acc[:, :, :span])
-        for ki, li, q, off in taps[1:]:
-            np.multiply(phf[:, :, q, off:off + span], wt[cb, ki, li, None], out=tmp)
-            acc[:, :, :span] += tmp
-        out_data[:, cb] = acc.reshape(n, mb, ho, wq)[:, :, :, :wo]
+        tm = _block_view(tap_buf, n, mb, kk, span)
+        for t, (q, off) in enumerate(taps):
+            tm[:, :, t] = phf[:, :, q, off:off + span]
+        acc = _block_view(acc_buf, n, mb, 1, ho * wq)
+        np.matmul(wt[cb], tm, out=acc[..., :span])
+        out_data[:, cb] = acc.reshape(n, mb, ho, wq)[..., :wo]
+
+    lead = max(off for _, off in taps)            # zeros before g in its copy
+    phase_taps = [[t for t, tap in enumerate(taps) if tap[0] == q]
+                  for q in range(ss)]
+    nq = max(len(ts) for ts in phase_taps)
 
     def bw(g):
         gx = gw = None
@@ -753,32 +765,32 @@ def _conv_depthwise(x: Tensor, weight: Tensor, spec: Conv2dSpec):
             gw = np.empty_like(weight.data)
         if x.requires_grad:
             gx = np.empty(x.data.shape, dtype=g.dtype)
-        m, blocks = _channel_blocks(
-            n, c, g.dtype.itemsize * (2 * ss * hq * wq + ho * wq + span))
-        gq_buf = np.zeros(n * m * ho * wq, g.dtype)  # columns past wo stay zero
-        ph_buf = np.zeros(n * m * ss * hq * wq, dt) if gw is not None else None
-        gph_buf = np.empty(n * m * ss * hq * wq, g.dtype) if gx is not None else None
-        tmp_buf = np.empty(n * m * span, g.dtype)
+        gt = g.dtype
+        m, blocks = _channel_blocks(n, c, gt.itemsize * ((ss + nq + 2) * hw + lead))
+        gz_buf = np.zeros(n * m * (lead + hw), gt)   # zeros outside g stay zero
+        ph_buf = np.zeros(n * m * ss * hw, dt) if gw is not None else None
+        tap_buf = np.empty(n * m * nq * hw, gt)
+        gph_buf = np.empty(n * m * hw, gt) if gx is not None else None
         for cb in blocks:
             mb = cb.stop - cb.start
-            gq = _block_view(gq_buf, n, mb, ho, wq)
-            gq[:, :, :, :wo] = g[:, cb]
-            gqf = gq.reshape(n, mb, ho * wq)[:, :, :span]
+            gz = _block_view(gz_buf, n, mb, lead + hw)
+            gz[:, :, lead:lead + ho * wq].reshape(n, mb, ho, wq)[..., :wo] = g[:, cb]
             if gw is not None:
                 phf = load_phases(_block_view(ph_buf, n, mb, ss, hq, wq), cb)
-                for ki, li, q, off in taps:
-                    gw[cb, 0, ki, li] = np.einsum(
-                        "nct,nct->c", phf[:, :, q, off:off + span], gqf)
             if gx is not None:
-                gph = _block_view(gph_buf, n, mb, ss, hq, wq)
-                gph.fill(0)
-                gphf = gph.reshape(n, mb, ss, hq * wq)
-                tmp = _block_view(tmp_buf, n, mb, span)
-                for ki, li, q, off in taps:
-                    np.multiply(gqf, wt[cb, ki, li, None], out=tmp)
-                    gphf[:, :, q, off:off + span] += tmp
-                for q, (rq, rx), (cq, cx) in fills:
-                    gx[:, cb, rx, cx] = gph[:, :, q, rq, cq]
+                gph = _block_view(gph_buf, n, mb, 1, hw)
+            for q, (rq, rx), (cq, cx) in fills:
+                ts = phase_taps[q]
+                tm = _block_view(tap_buf, n, mb, len(ts), hw)
+                for j, t in enumerate(ts):
+                    off = lead - taps[t][1]
+                    tm[:, :, j] = gz[:, :, off:off + hw]
+                if gw is not None:
+                    gw.reshape(c, kk)[cb, ts] = np.matmul(
+                        tm, phf[:, :, q, :, None]).sum(axis=(0, 3))
+                if gx is not None:
+                    np.matmul(wt[cb][:, :, ts], tm, out=gph)
+                    gx[:, cb, rx, cx] = gph.reshape(n, mb, hq, wq)[:, :, rq, cq]
         return gx, gw
 
     return out_data, bw

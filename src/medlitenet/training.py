@@ -50,10 +50,14 @@ class TrainConfig:
         for key in ("lr0", "lr_min", "eps", "clip_norm"):
             value = getattr(self, key)
             require(value > 0, f"train.{key}", "must be positive", value)
-        require(0.0 <= self.ema_decay < 1.0, "train.ema_decay",
-                "must lie in [0, 1)", self.ema_decay)
         require(self.weight_decay >= 0, "train.weight_decay",
                 "must be non-negative", self.weight_decay)
+        for key in ("lr0", "lr_min", "eps", "clip_norm", "weight_decay"):
+            value = getattr(self, key)
+            require(math.isfinite(value), f"train.{key}", "must be finite", value)
+        for key in ("beta1", "beta2", "ema_decay"):
+            value = getattr(self, key)
+            require(0.0 <= value < 1.0, f"train.{key}", "must lie in [0, 1)", value)
         return self
 
 
@@ -473,6 +477,9 @@ def ensemble_weights(val_dices: Sequence[float]) -> np.ndarray:
     dices = np.asarray(val_dices, dtype=np.float64)
     if dices.size == 0:
         raise ValueError("ensemble needs at least one member")
+    for i, dice in enumerate(dices):
+        if not math.isfinite(dice):
+            raise ValueError(f"validation Dice of member {i} is not finite: {dice}")
     if (dices < 0).any() or dices.sum() <= 0:
         raise ValueError("validation Dice scores must be non-negative and "
                          "not all zero")

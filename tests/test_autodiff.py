@@ -140,44 +140,101 @@ def _depthwise_by_windowed(spec, x, w, g):
     return out, gx, gw[diag, diag][:, None]
 
 
+DEPTHWISE_CASES = [
+    (Conv2dSpec(7, 7, 3, groups=7), (1, 7, 9, 11)),
+    (Conv2dSpec(7, 7, 3, groups=7, stride=2), (1, 7, 9, 7)),
+    (Conv2dSpec(7, 7, 3, groups=7, dilation=2), (1, 7, 9, 9)),
+    (Conv2dSpec(7, 7, 3, groups=7, stride=2, dilation=2), (1, 7, 11, 13)),
+    (Conv2dSpec(7, 7, 3, groups=7, stride=2), (3, 7, 8, 10)),
+    (Conv2dSpec(1, 1, 3, padding=0), (2, 1, 7, 6)),   # boundary Laplacian
+]
+
+
+def _depthwise_inputs(spec, shape):
+    r = rng(11)
+    x = r.uniform(-2, 2, shape)
+    w = r.uniform(-1, 1, spec.weight_shape)
+    g = r.uniform(-1, 1, (shape[0], shape[1], spec.out_size(shape[2]),
+                          spec.out_size(shape[3])))
+    return x, w, g
+
+
+def _spy_channel_blocks(monkeypatch) -> list:
+    """Record (scratch bytes of one channel, m, blocks) of each blocking."""
+    calls = []
+
+    def spy(n, c, channel_bytes, _real=ad._channel_blocks):
+        m, blocks = _real(n, c, channel_bytes)
+        calls.append((n * channel_bytes, m, blocks))
+        return m, blocks
+
+    monkeypatch.setattr(ad, "_channel_blocks", spy)
+    return calls
+
+
+def _assert_matches_windowed(spec, x, w, g):
+    got = _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
+    want = _depthwise_by_windowed(spec, x, w, g)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64
+        assert np.abs(a - b).max() < 1e-12
+
+
 class TestDepthwiseBlocks:
-    @pytest.mark.parametrize("spec,shape", [
-        (Conv2dSpec(7, 7, 3, groups=7), (1, 7, 9, 11)),
-        (Conv2dSpec(7, 7, 3, groups=7, stride=2), (1, 7, 9, 7)),
-        (Conv2dSpec(7, 7, 3, groups=7, dilation=2), (1, 7, 9, 9)),
-        (Conv2dSpec(7, 7, 3, groups=7, stride=2, dilation=2), (1, 7, 11, 13)),
-        (Conv2dSpec(7, 7, 3, groups=7, stride=2), (3, 7, 8, 10)),
-        (Conv2dSpec(1, 1, 3, padding=0), (2, 1, 7, 6)),   # boundary Laplacian
-    ])
+    @pytest.mark.parametrize("spec,shape", DEPTHWISE_CASES)
     def test_blocks_match_windowed(self, spec, shape, monkeypatch):
-        r = rng(11)
-        x = r.uniform(-2, 2, shape)
-        w = r.uniform(-1, 1, spec.weight_shape)
-        g = r.uniform(-1, 1, (shape[0], shape[1], spec.out_size(shape[2]),
-                              spec.out_size(shape[3])))
-        calls = []
-
-        def spy(n, c, channel_bytes, _real=ad._channel_blocks):
-            m, blocks = _real(n, c, channel_bytes)
-            calls.append((n * channel_bytes, m, blocks))
-            return m, blocks
-
-        monkeypatch.setattr(ad, "_channel_blocks", spy)
+        x, w, g = _depthwise_inputs(spec, shape)
+        calls = _spy_channel_blocks(monkeypatch)
         _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
         # room for two channels of backward scratch, and two or three of the
         # smaller forward scratch: 7 channels end in a short block either way
         monkeypatch.setattr(ad, "_DW_BLOCK_BYTES", 2 * max(b for b, _, _ in calls))
         calls.clear()
-        got = _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
-        want = _depthwise_by_windowed(spec, x, w, g)
+        _assert_matches_windowed(spec, x, w, g)
         if shape[1] > 1:
             assert len(calls) == 2
             for _, m, blocks in calls:
                 assert len(blocks) > 1
                 assert blocks[-1].stop - blocks[-1].start < m
-        for a, b in zip(got, want):
-            assert a.dtype == np.float64
-            assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("spec,shape", DEPTHWISE_CASES)
+    def test_one_channel_blocks_match_windowed(self, spec, shape, monkeypatch):
+        x, w, g = _depthwise_inputs(spec, shape)
+        calls = _spy_channel_blocks(monkeypatch)
+        _run_conv_kernel(ad._conv_depthwise, spec, x, w, g)
+        # a budget below one channel's scratch: every block is one channel
+        monkeypatch.setattr(ad, "_DW_BLOCK_BYTES", min(b for b, _, _ in calls) // 2)
+        calls.clear()
+        _assert_matches_windowed(spec, x, w, g)
+        assert len(calls) == 2
+        for _, m, blocks in calls:
+            assert m == 1
+            assert [(b.start, b.stop) for b in blocks] == [
+                (i, i + 1) for i in range(shape[1])]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_scratch_stays_within_the_block_budget(self, stride):
+        r = rng(13)
+        spec = Conv2dSpec(32, 32, 3, groups=32, stride=stride)
+        x = r.standard_normal((2, 32, 96, 96)).astype(np.float32)
+        w = r.standard_normal((32, 1, 3, 3)).astype(np.float32)
+        slack = 64 << 10
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, bw = ad._conv_depthwise(Tensor(x, requires_grad=True),
+                                         Tensor(w, requires_grad=True), spec)
+            fw_scratch = tracemalloc.get_traced_memory()[1] - before - out.nbytes
+            g = np.ones_like(out)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gx, gw = bw(g)
+            bw_scratch = (tracemalloc.get_traced_memory()[1] - before
+                          - gx.nbytes - gw.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert fw_scratch <= ad._DW_BLOCK_BYTES + slack
+        assert bw_scratch <= ad._DW_BLOCK_BYTES + slack
 
     def test_node_keeps_no_padded_copy(self):
         r = rng(12)

@@ -107,7 +107,8 @@ def test_exponent_floats_load_as_numbers(tmp_path):
 
 
 # one out-of-range value per checked field of the train, augment and data
-# sections, two model fields, and the dotted key each error must name
+# sections (and the non-finite one of each unbounded train float), two model
+# fields, and the dotted key each error must name
 BAD_VALUES = [
     ("model", "trans_layers", "0", "must be >= 1, got 0"),
     ("model", "input_size", "48", "must be a positive multiple of 32, got 48"),
@@ -120,6 +121,14 @@ BAD_VALUES = [
     ("train", "clip_norm", "-0.5", "must be positive, got -0.5"),
     ("train", "ema_decay", "1.0", r"must lie in \[0, 1\), got 1.0"),
     ("train", "weight_decay", "-0.01", "must be non-negative, got -0.01"),
+    ("train", "beta1", "1.5", r"must lie in \[0, 1\), got 1.5"),
+    ("train", "beta1", "-0.2", r"must lie in \[0, 1\), got -0.2"),
+    ("train", "beta2", "1.0", r"must lie in \[0, 1\), got 1.0"),
+    ("train", "lr0", ".inf", "must be finite, got inf"),
+    ("train", "lr_min", ".inf", "must be finite, got inf"),
+    ("train", "eps", ".inf", "must be finite, got inf"),
+    ("train", "clip_norm", ".inf", "must be finite, got inf"),
+    ("train", "weight_decay", ".inf", "must be finite, got inf"),
     ("augment", "brightness", "0.5", r"must lie in \[0, 0.2\], got 0.5"),
     ("augment", "contrast", "[0.5, 1.2]",
      r"must be an ordered pair within \[0.8, 1.2\], got \(0.5, 1.2\)"),
@@ -135,8 +144,18 @@ BAD_VALUES = [
 ]
 
 
+def _bad_value_ids(rows):
+    """``section.key``, and ``section.key=value`` for a key's later rows."""
+    seen, ids = set(), []
+    for section, key, value, _ in rows:
+        name = f"{section}.{key}"
+        ids.append(f"{name}={value}" if name in seen else name)
+        seen.add(name)
+    return ids
+
+
 @pytest.mark.parametrize("section, key, value, rule", BAD_VALUES,
-                         ids=[f"{s}.{k}" for s, k, _, _ in BAD_VALUES])
+                         ids=_bad_value_ids(BAD_VALUES))
 def test_cli_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
                                                       section, key, value, rule):
     path = tmp_path / "run.yaml"

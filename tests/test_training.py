@@ -31,6 +31,7 @@ from medlitenet.training import (
     batch_arrays,
     clip_grad_norm,
     cosine_lr,
+    ensemble_weights,
     fit,
     predict_proba,
     tta_predict,
@@ -245,6 +246,13 @@ def test_ensemble_weights_members_by_val_dice():
     # 0.6 * 0.25 + 0.4 * 0.75
     assert np.array_equal(out.data, np.full((2, 1, 32, 64), np.float32(0.45)))
     assert out.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dices, member", [([float("nan"), 0.5], 0),
+                                           ([0.5, float("inf")], 1)])
+def test_ensemble_weights_reject_non_finite_dice(dices, member):
+    with pytest.raises(ValueError, match=f"Dice of member {member} is not finite"):
+        ensemble_weights(dices)
 
 
 def test_ensemble_rejects_mismatched_members():
