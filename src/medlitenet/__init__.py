@@ -28,7 +28,7 @@ from .data import (
 )
 from .estimator import MedLiteNetSegmenter
 from .gradcheck import finite_diff_gradcheck
-from .losses import LossConfig, bce_loss, dice_loss, total_loss
+from .losses import bce_loss, dice_loss, total_loss
 from .metrics import EvalRecord, confusion_metrics, dice_coef, dice_from_iou, iou
 from .model import ConfigError, MedLiteNet, ModelConfig, build_model, predict_mask
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -62,7 +62,6 @@ __all__ = [
     "EvalRecord",
     "FitResult",
     "Graph",
-    "LossConfig",
     "MedLiteNet",
     "MedLiteNetSegmenter",
     "ModelConfig",

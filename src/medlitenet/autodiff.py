@@ -44,8 +44,6 @@ __all__ = [
     "mul",
     "div",
     "neg",
-    "pow_scalar",
-    "exp",
     "log",
     "sqrt",
     "clamp",
@@ -85,9 +83,9 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float array plus optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "creator", "name", "decay_exempt")
+    __slots__ = ("data", "requires_grad", "grad", "creator", "decay_exempt")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -95,7 +93,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.creator: Optional[_Node] = None
-        self.name = name
         self.decay_exempt = False
 
     # -- basic introspection ------------------------------------------------
@@ -118,16 +115,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         head = f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}"
-        if self.name:
-            head += f", name={self.name!r}"
         return head + (", requires_grad=True)" if self.requires_grad else ")")
 
     # -- operator sugar -----------------------------------------------------
@@ -153,8 +145,8 @@ class Tensor:
 class Parameter(Tensor):
     """A leaf tensor registered as trainable by the module system."""
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class _Node:
@@ -365,20 +357,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
     return _record("neg", out, (a,), lambda g: (-g,))
-
-
-def pow_scalar(a: Tensor, p: float) -> Tensor:
-    out = Tensor(a.data ** p)
-
-    def bw(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _record("pow", out, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record("exp", out, (a,), lambda g: (g * out.data,))
 
 
 def log(a: Tensor) -> Tensor:

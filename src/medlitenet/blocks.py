@@ -60,7 +60,8 @@ def check_tensor_table(table: dict, expected: dict) -> None:
 
 
 class Module:
-    """Minimal parameter container with recursive named traversal."""
+    """Minimal parameter container with recursive named traversal; calling
+    a module runs its ``forward``."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -84,9 +85,6 @@ class Module:
             yield prefix + name, p
         for cname, child in self._children.items():
             yield from child.named_parameters(prefix + cname + ".")
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
 
     def named_states(self, prefix: str = "") -> Iterator[tuple]:
         for name, s in self._states.items():
@@ -119,9 +117,6 @@ class Module:
             state.var = table[name + ".running_var"]
         return self
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def train(self, mode: bool = True):
         object.__setattr__(self, "training", mode)
         for child in self._children.values():
@@ -131,9 +126,8 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
 
 class ModuleList(Module):
@@ -175,8 +169,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.spec, self.bias)
 
-    __call__ = forward
-
 
 class BatchNorm2d(Module):
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -196,8 +188,6 @@ class BatchNorm2d(Module):
                            training=self.training, momentum=self.momentum,
                            eps=self.eps, silu=silu)
 
-    __call__ = forward
-
 
 class Linear(Module):
     def __init__(self, in_features, out_features, rng, bias=True):
@@ -211,8 +201,6 @@ class Linear(Module):
         if self.bias is not None:
             y = y + self.bias
         return y
-
-    __call__ = forward
 
 
 class LayerNorm(Module):
@@ -231,8 +219,6 @@ class LayerNorm(Module):
         xn = div(xc, sqrt(var + self.eps))
         return xn * self.gamma + self.beta
 
-    __call__ = forward
-
 
 class ConvBnSiLU(Module):
     """Conv (no bias) + BatchNorm + SiLU, the encoder's basic unit."""
@@ -247,8 +233,6 @@ class ConvBnSiLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.bn(handover(self.conv(x)), silu=True)
 
-    __call__ = forward
-
 
 class SeparableConvBlock(Module):
     """Depthwise 3x3 + pointwise 1x1, then BN + SiLU."""
@@ -262,8 +246,6 @@ class SeparableConvBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.bn(handover(self.pointwise(self.depthwise(x))), silu=True)
-
-    __call__ = forward
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +288,6 @@ class MBConvBlock(Module):
         if self.use_skip:
             h = h + x
         return h
-
-    __call__ = forward
-
-    def conv_weight_count(self) -> int:
-        ce = self.expanded
-        return self.in_channels * ce + 9 * ce + ce * self.out_channels
-
-    def param_count(self) -> int:
-        # conv weights plus the three BN affine pairs
-        return self.conv_weight_count() + 4 * self.expanded + 2 * self.out_channels
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +375,20 @@ class TransformerLayer(Module):
         return transpose(reshape(x, (n, t, self.heads, self.head_dim)),
                          (0, 2, 1, 3))
 
-    def _attention(self, xn: Tensor):
+    def _attention(self, xn: Tensor) -> Tensor:
         n, t, _ = xn.shape
         q = self._split_heads(self.wq(xn), n, t)
         k = self._split_heads(self.wk(xn), n, t)
         v = self._split_heads(self.wv(xn), n, t)
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (self.head_dim ** -0.5)
-        weights = softmax(scores, axis=-1)
-        ctx = matmul(weights, v)
+        ctx = matmul(softmax(scores, axis=-1), v)
         ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, t, self.dim))
-        return self.wo(ctx), weights
-
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """Per-head attention rows for the given tokens ([N, h, T, T])."""
-        _, weights = self._attention(self.ln1(x))
-        return weights.data
+        return self.wo(ctx)
 
     def forward(self, x: Tensor) -> Tensor:
-        attn, _ = self._attention(self.ln1(x))
-        x = x + attn
+        x = x + self._attention(self.ln1(x))
         ff = self.fc2(silu(self.fc1(self.ln2(x))))
         return x + ff
-
-    __call__ = forward
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +418,6 @@ class FusionBlock(Module):
                 f"{tuple(f_trans.shape[2:])}")
         gated = relu(self.fuse(concat_channels([f_conv, f_trans])))
         return gated + f_conv + f_trans
-
-    __call__ = forward
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +476,6 @@ class BoundaryAttention(Module):
         mask = self.attention_mask(fmap, response)
         return self.refine(fmap, mask)
 
-    __call__ = forward
-
 
 # ---------------------------------------------------------------------------
 # ASPP and SCSE
@@ -549,8 +508,6 @@ class ASPPModule(Module):
         outs.append(broadcast_spatial(pooled, (h, w)))
         return silu(self.fuse(concat_channels(outs)))
 
-    __call__ = forward
-
 
 class SCSEBlock(Module):
     """Concurrent channel and spatial squeeze-excitation, combined by sum."""
@@ -570,8 +527,6 @@ class SCSEBlock(Module):
         cgate = sigmoid(self.ch_excite(relu(self.ch_squeeze(global_avg_pool(x)))))
         sgate = sigmoid(self.sp_gate(x))
         return mul(x, cgate) + mul(x, sgate)
-
-    __call__ = forward
 
 
 class DecoderStage(Module):
@@ -594,5 +549,3 @@ class DecoderStage(Module):
         x = concat_channels([x, skip])
         x = self.conv2(self.conv1(x))
         return self.scse(x)
-
-    __call__ = forward

@@ -227,12 +227,6 @@ def normalize_imagenet(image: np.ndarray) -> np.ndarray:
     return (arr - IMAGENET_MEAN.reshape(shape)) / IMAGENET_STD.reshape(shape)
 
 
-def denormalize_imagenet(image: np.ndarray) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float32)
-    shape = (3, 1, 1) if arr.ndim == 3 else (1, 3, 1, 1)
-    return arr * IMAGENET_STD.reshape(shape) + IMAGENET_MEAN.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # Augmentation
 # ---------------------------------------------------------------------------
@@ -328,6 +322,11 @@ def make_split(n_train: int, n_val: int, n_test: int, base_seed: int,
     """Disjoint seed ranges for train/val/test with a seeded difficulty mix."""
     if min(n_train, n_val, n_test) < 1:
         raise ValueError("all split sizes must be >= 1")
+    mix = np.asarray(difficulty_mix, dtype=np.float64)
+    if (mix.shape != (3,) or not np.isfinite(mix).all() or (mix < 0).any()
+            or mix.sum() <= 0):
+        raise ValueError("difficulty_mix must be three finite, non-negative "
+                         f"proportions with a positive sum, got {difficulty_mix}")
     splits = []
     offset = base_seed
     for idx, n in enumerate((n_train, n_val, n_test)):

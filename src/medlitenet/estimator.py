@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .data import AugmentConfig, SegmentationSample
+from .data import SegmentationSample
 from .errors import parse
 from .model import MedLiteNet, ModelConfig, predict_mask
 from .metrics import dice_coef
@@ -128,7 +128,8 @@ class MedLiteNetSegmenter:
         n = X.shape[0]
         samples = [SegmentationSample(image=X[i], mask=y[i], seed=i)
                    for i in range(n)]
-        n_val = max(1, int(round(self.val_fraction * n))) if n > 1 else 0
+        # at least one image each for validation and training, when n > 1
+        n_val = min(n - 1, max(1, round(self.val_fraction * n))) if n > 1 else 0
         rng = np.random.default_rng(self.seed)
         order = rng.permutation(n)
         val_idx = set(order[:n_val].tolist())
@@ -146,8 +147,7 @@ class MedLiteNetSegmenter:
             for cls, section in ((ModelConfig, "model"), (TrainConfig, "train")))
 
         self.model_ = MedLiteNet(config, seed=self.seed)
-        result = fit(self.model_, train_samples, val_samples, train_config,
-                     augment_config=AugmentConfig() if self.use_augment else None)
+        result = fit(self.model_, train_samples, val_samples, train_config)
         self.history_ = result.history
         self.best_val_dice_ = result.best_val_dice
         self.n_features_in_ = int(np.prod(X.shape[1:]))

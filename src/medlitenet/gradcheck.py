@@ -92,10 +92,6 @@ def finite_diff_gradcheck(f: Callable[[Tensor], Tensor], x: Tensor,
 # Suite helpers
 # ---------------------------------------------------------------------------
 
-def _rng(seed=0):
-    return np.random.default_rng(seed)
-
-
 def _rand(rng, shape, lo=-2.0, hi=2.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
 
@@ -142,10 +138,6 @@ def cast_module(module: Module, dtype) -> Module:
         {name: arr.astype(dtype) for name, arr in module.state_dict().items()})
 
 
-def micro_model_config(input_size: int = 32) -> ModelConfig:
-    return ModelConfig.micro(input_size=input_size)
-
-
 # ---------------------------------------------------------------------------
 # Scope: ops
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     def run(name, f, x, **kw):
         checks.append((name, finite_diff_gradcheck(f, x, tol=tol, **kw)))
 
-    rng = _rng(11)
+    rng = np.random.default_rng(11)
     a = _rand(rng, (3, 5))
     b = Tensor(rng.uniform(0.5, 2.0, size=(3, 5)))
     w_ab = _weigher(rng, (3, 5))
@@ -166,9 +158,6 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     run("mul", lambda t: w_ab(ad.mul(t, b)), a)
     run("div_num", lambda t: w_ab(ad.div(t, b)), a)
     run("div_den", lambda t: w_ab(ad.div(a, t)), b)
-    run("pow", lambda t: w_ab(ad.pow_scalar(t, 3.0)),
-        _away_from(rng, (3, 5), (0.0,), 0.3))
-    run("exp", lambda t: w_ab(ad.exp(t)), a)
     run("log", lambda t: w_ab(ad.log(t)), Tensor(rng.uniform(0.2, 3.0, (3, 5))))
     run("sqrt", lambda t: w_ab(ad.sqrt(t)), Tensor(rng.uniform(0.2, 3.0, (3, 5))))
     run("clamp", lambda t: w_ab(ad.clamp(t, -1.0, 1.0)),
@@ -275,7 +264,7 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
 
 def blocks_suite(tol: float = DEFAULT_TOLS["blocks"]) -> list:
     checks = []
-    rng = _rng(23)
+    rng = np.random.default_rng(23)
 
     def run(name, f, x, **kw):
         checks.append((name, finite_diff_gradcheck(f, x, tol=tol, **kw)))
@@ -349,10 +338,10 @@ def blocks_suite(tol: float = DEFAULT_TOLS["blocks"]) -> list:
 
 def model_suite(tol: float = DEFAULT_TOLS["model"], coords: int = 32) -> list:
     """End-to-end loss gradient on the micro config at 32x32, float64."""
-    config = micro_model_config(input_size=32)
+    config = ModelConfig.micro(input_size=32)
     model = cast_module(MedLiteNet(config, seed=0), np.float64)
     model.train()
-    rng = _rng(41)
+    rng = np.random.default_rng(41)
     x = Tensor(rng.uniform(-1.5, 1.5, size=(1, 3, 32, 32)))
     gy, gx = np.mgrid[0:32, 0:32]
     mask = Tensor((((gy - 16) ** 2 + (gx - 16) ** 2) < 81)
@@ -376,7 +365,7 @@ def run_scope(scope: str, tol: float = None, inject_error: bool = False) -> list
     else:
         checks = model_suite(tol)
     if inject_error:
-        rng = _rng(99)
+        rng = np.random.default_rng(99)
         x = _rand(rng, (3, 4))
         w = _weigher(rng, (3, 4))
         checks.append(("corrupted_gradient_hook",

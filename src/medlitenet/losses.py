@@ -2,26 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, clamp, log, mul, tmean, tsum
-
-
-@dataclass
-class LossConfig:
-    bce_weight: float = 0.5        # alpha
-    dice_weight: float = 0.5       # beta
-    dice_smooth: float = 1e-6      # epsilon in the Dice ratio
-    prob_clamp: float = 1e-7       # delta applied before BCE logs
-
-    def validate(self):
-        if self.bce_weight < 0 or self.dice_weight < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.dice_smooth <= 0 or self.prob_clamp <= 0:
-            raise ValueError("dice_smooth and prob_clamp must be positive")
-        return self
 
 
 def _as_tensor(x) -> Tensor:
@@ -67,7 +50,6 @@ def bce_loss(p, g, prob_clamp: float = 1e-7) -> Tensor:
     return -tmean(pos + neg)
 
 
-def total_loss(p, g, config: LossConfig = LossConfig()) -> Tensor:
-    """alpha * BCE + beta * Dice, the combined segmentation objective."""
-    return (config.bce_weight * bce_loss(p, g, config.prob_clamp)
-            + config.dice_weight * dice_loss(p, g, config.dice_smooth))
+def total_loss(p, g) -> Tensor:
+    """0.5 * BCE + 0.5 * Dice, the combined segmentation objective."""
+    return 0.5 * bce_loss(p, g) + 0.5 * dice_loss(p, g)

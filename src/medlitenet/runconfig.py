@@ -8,6 +8,7 @@ CLI flags override individual keys.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +39,8 @@ class DataConfig:
         mix = self.difficulty_mix
         require(len(mix) == 3 and all(m >= 0 for m in mix), "data.difficulty_mix",
                 "must be three non-negative proportions", mix)
+        require(all(math.isfinite(m) for m in mix) and sum(mix) > 0,
+                "data.difficulty_mix", "must be finite with a positive sum", mix)
         return self
 
 

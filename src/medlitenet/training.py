@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Graph, Tensor, backward
 from .data import AugmentConfig, SegmentationSample, augment, normalize_imagenet
 from .errors import require
-from .losses import LossConfig, total_loss
+from .losses import total_loss
 from .metrics import dice_coef, iou as iou_metric
 from .model import MedLiteNet, predict_mask
 from . import checkpoint as ckpt
@@ -234,8 +234,7 @@ def batch_arrays(samples: Sequence[SegmentationSample]) -> tuple:
 
 
 def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
-             batch_size: int = 4, loss_config: LossConfig = LossConfig(),
-             threshold: float = 0.5) -> dict:
+             batch_size: int = 4, threshold: float = 0.5) -> dict:
     """Eval-mode loss/Dice/IoU over a sample list (per-sample metric means)."""
     model.eval()
     losses, dices, ious = [], [], []
@@ -243,7 +242,7 @@ def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
         chunk = samples[i:i + batch_size]
         images, masks = batch_arrays(chunk)
         probs = model(Tensor(images))
-        losses.append(float(total_loss(probs, Tensor(masks), loss_config).item())
+        losses.append(float(total_loss(probs, Tensor(masks)).item())
                       * len(chunk))
         hard = predict_mask(probs, threshold)
         for j in range(len(chunk)):
@@ -266,8 +265,7 @@ class FitResult:
 
 def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
         val_samples: Sequence[SegmentationSample], config: TrainConfig,
-        out_dir=None, loss_config: LossConfig = LossConfig(),
-        augment_config: Optional[AugmentConfig] = None,
+        out_dir=None, augment_config: Optional[AugmentConfig] = None,
         max_steps: Optional[int] = None,
         log_fn: Optional[Callable[[str], None]] = None) -> FitResult:
     """Run the full training recipe; deterministic given config and seeds.
@@ -277,7 +275,10 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     with the EMA weights in eval mode; the best-val-Dice checkpoint is kept.
     """
     config.validate()
-    loss_config.validate()
+    if not train_samples or not val_samples:
+        raise ValueError(
+            f"fit needs at least one training and one validation sample, got "
+            f"{len(train_samples)} and {len(val_samples)}")
     named = list(model.named_parameters())
     opt = AdamW(named, lr=config.lr0, betas=(config.beta1, config.beta2),
                 eps=config.eps, weight_decay=config.weight_decay)
@@ -319,7 +320,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                 # before the optimizer step
                 with Graph():
                     probs = model(Tensor(images))
-                    loss = total_loss(probs, Tensor(masks), loss_config)
+                    loss = total_loss(probs, Tensor(masks))
                     loss_val = loss.item()
                     if not math.isfinite(loss_val):
                         raise NumericalError(
@@ -353,8 +354,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                 "iou": float(np.mean(epoch_ious)), "lr": lr,
             }
             with _SwappedWeights(model, ema.averaged(), ema.averaged_states()):
-                val_stats = evaluate(model, val_samples, config.batch_size,
-                                     loss_config)
+                val_stats = evaluate(model, val_samples, config.batch_size)
                 if val_stats["dice"] > best_val_dice:
                     best_val_dice = val_stats["dice"]
                     best_epoch = epoch

@@ -93,14 +93,16 @@ class TestMBConv:
 
     def test_analytic_param_count(self):
         blk = MBConvBlock(32, 64, rng(0), expansion=6)
-        assert blk.conv_weight_count() == 32 * 192 + 9 * 192 + 192 * 64 == 20160
-        assert blk.param_count() == 21056
+        enumerated = sum(p.size for _, p in blk.named_parameters())
+        # conv weights 32*192 + 9*192 + 192*64 = 20160, then three BN affine pairs
+        assert enumerated == 20160 + 2 * (192 + 192 + 64) == 21056
 
     def test_count_equals_buffer_enumeration(self):
         for cin, cout, t in ((8, 8, 6), (32, 64, 6), (16, 24, 4)):
             blk = MBConvBlock(cin, cout, rng(0), expansion=t)
+            ce = t * cin
             enumerated = sum(p.size for _, p in blk.named_parameters())
-            assert blk.param_count() == enumerated
+            assert enumerated == cin * ce + 9 * ce + ce * cout + 4 * ce + 2 * cout
 
     def test_channel_mismatch_rejected(self):
         blk = MBConvBlock(8, 8, rng(0))
@@ -153,17 +155,22 @@ class TestTokenizer:
 
 class TestTransformerLayer:
     def test_single_token_attention_weight_is_one(self):
+        # a lone key gets weight 1 in every head, so its value passes through
         layer = TransformerLayer(16, 4, rng(0))
         x = Tensor(rng(1).uniform(-1, 1, (1, 1, 16)).astype(np.float32))
-        weights = layer.attention_weights(x)
-        assert weights.shape == (1, 4, 1, 1)
-        assert np.allclose(weights, 1.0)
+        got = layer._attention(x)
+        assert np.allclose(got.data, layer.wo(layer.wv(x)).data, atol=1e-6)
 
     def test_attention_rows_sum_to_one(self):
+        # every value row is c, so each token's context is c times its row sum
         layer = TransformerLayer(32, 4, rng(0))
+        c = rng(3).uniform(-1, 1, 32).astype(np.float32)
+        layer.wv.weight.data[...] = 0.0
+        layer.wv.bias.data[...] = c
         x = Tensor(rng(2).uniform(-1, 1, (2, 9, 32)).astype(np.float32))
-        weights = layer.attention_weights(x)
-        assert np.abs(weights.sum(axis=-1) - 1).max() < 1e-6
+        got = layer._attention(x).data
+        expected = layer.wo(Tensor(c[None, None])).data
+        assert np.abs(got - expected).max() < 1e-5
 
     def test_identical_tokens_identical_outputs(self):
         layer = TransformerLayer(16, 2, rng(0))
@@ -190,7 +197,7 @@ class TestTransformerLayer:
         d, heads, t = 8, 2, 4
         layer = TransformerLayer(d, heads, rng(0))
         x = rng(6).uniform(-1, 1, (1, t, d)).astype(np.float32)
-        got, _ = layer._attention(Tensor(x))
+        got = layer._attention(Tensor(x))
 
         def linear(v, lin):
             return v @ lin.weight.data + lin.bias.data

@@ -14,7 +14,6 @@ from medlitenet.data import (
     accepted_geometry,
     augment,
     corpus_digest,
-    denormalize_imagenet,
     load_dataset_dir,
     make_split,
     normalize_imagenet,
@@ -159,7 +158,8 @@ class TestNormalization:
 
     def test_invertible(self):
         img = np.random.default_rng(0).uniform(0, 1, (3, 8, 8)).astype(np.float32)
-        back = denormalize_imagenet(normalize_imagenet(img))
+        back = (normalize_imagenet(img) * dpipe.IMAGENET_STD.reshape(3, 1, 1)
+                + dpipe.IMAGENET_MEAN.reshape(3, 1, 1))
         assert np.abs(back - img).max() < 1e-6
 
     def test_batched_shape(self):
@@ -243,6 +243,12 @@ class TestSplits:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             make_split(0, 1, 1, base_seed=0)
+
+    @pytest.mark.parametrize("mix", [(0, 0, 0), (float("inf"), 1, 1),
+                                     (float("nan"), 1, 1), (1, -1, 1), (0.5, 0.5)])
+    def test_difficulty_mix_validated(self, mix):
+        with pytest.raises(ValueError, match="difficulty_mix must be three finite"):
+            make_split(4, 1, 1, base_seed=0, difficulty_mix=mix)
 
 
 class TestDatasetDir:

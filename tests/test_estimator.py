@@ -54,6 +54,16 @@ def test_fit_checks_config_types_naming_the_key(data):
         MedLiteNetSegmenter(epochs="1").fit(*data)
 
 
+@pytest.mark.parametrize("val_fraction", [0.9, 1.0])
+def test_fit_keeps_one_training_image(data, val_fraction):
+    X, y = data
+    est = MedLiteNetSegmenter(epochs=1, batch_size=2, accumulation=1,
+                              val_fraction=val_fraction).fit(X[:3], y[:3])
+    train_row, val_row = est.history_
+    assert (train_row["split"], val_row["split"]) == ("train", "val")
+    assert np.isfinite(train_row["loss"]) and np.isfinite(val_row["loss"])
+
+
 def test_fit_returns_self_with_fitted_state(fitted):
     assert {row["epoch"] for row in fitted.history_} == {0}
     assert 0.0 <= fitted.best_val_dice_ <= 1.0

@@ -6,7 +6,7 @@ import pytest
 from medlitenet import losses, metrics
 from medlitenet.autodiff import ShapeError, Tensor
 from medlitenet.gradcheck import finite_diff_gradcheck
-from medlitenet.losses import LossConfig, bce_loss, dice_coef_soft, dice_loss, total_loss
+from medlitenet.losses import bce_loss, dice_coef_soft, dice_loss, total_loss
 from medlitenet.metrics import confusion_metrics, dice_coef, dice_from_iou, iou
 
 
@@ -71,20 +71,6 @@ class TestBceLoss:
 
 
 class TestTotalLoss:
-    def test_pure_bce(self):
-        p = rng(0).uniform(0.1, 0.9, (2, 1, 4, 4)).astype(np.float32)
-        g = (rng(1).uniform(0, 1, (2, 1, 4, 4)) > 0.5).astype(np.float32)
-        cfg = LossConfig(bce_weight=1.0, dice_weight=0.0)
-        assert total_loss(p, g, cfg).item() == pytest.approx(
-            bce_loss(p, g).item(), abs=1e-7)
-
-    def test_pure_dice(self):
-        p = rng(2).uniform(0.1, 0.9, (2, 1, 4, 4)).astype(np.float32)
-        g = (rng(3).uniform(0, 1, (2, 1, 4, 4)) > 0.5).astype(np.float32)
-        cfg = LossConfig(bce_weight=0.0, dice_weight=1.0)
-        assert total_loss(p, g, cfg).item() == pytest.approx(
-            dice_loss(p, g).item(), abs=1e-7)
-
     def test_weighted_composition(self):
         p = rng(4).uniform(0.05, 0.95, (1, 1, 8, 8))
         g = (rng(5).uniform(0, 1, (1, 1, 8, 8)) > 0.5).astype(np.float64)
@@ -109,12 +95,6 @@ class TestTotalLoss:
         g = Tensor((rng(7).uniform(0, 1, (2, 1, 5, 5)) > 0.5).astype(np.float64))
         report = finite_diff_gradcheck(lambda t: total_loss(t, g), p, tol=1e-3)
         assert report.passed, report
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LossConfig(bce_weight=-0.1).validate()
-        with pytest.raises(ValueError):
-            LossConfig(dice_smooth=0.0).validate()
 
 
 class TestHardMetrics:

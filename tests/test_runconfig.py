@@ -141,6 +141,10 @@ BAD_VALUES = [
     ("data", "size", "48", "must be a positive multiple of 32, got 48"),
     ("data", "difficulty_mix", "[0.5, 0.5]",
      r"must be three non-negative proportions, got \(0.5, 0.5\)"),
+    ("data", "difficulty_mix", "[0, 0, 0]",
+     r"must be finite with a positive sum, got \(0, 0, 0\)"),
+    ("data", "difficulty_mix", "[.inf, 1, 1]",
+     r"must be finite with a positive sum, got \(inf, 1, 1\)"),
 ]
 
 

@@ -40,8 +40,8 @@ from medlitenet.training import (
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_adamw_rejects_non_finite_gradient(bad):
-    a = Parameter(np.ones(3, np.float32), name="a")
-    b = Parameter(np.ones(2, np.float32), name="b")
+    a = Parameter(np.ones(3, np.float32))
+    b = Parameter(np.ones(2, np.float32))
     a.grad = np.full(3, 0.5, np.float32)
     b.grad = np.array([0.1, bad], np.float32)
     opt = AdamW([("a", a), ("b", b)], lr=0.1)
@@ -151,8 +151,8 @@ def _adamw_closed_form(p0, grads, lr, b1, b2, eps, wd):
 def test_adamw_matches_closed_form_with_decay_exemption():
     lr, b1, b2, eps, wd = 0.1, 0.8, 0.9, 1e-8, 0.05
     w0, n0 = np.array([1.0, -2.0, 0.5]), np.array([0.25, 3.0])
-    w = Parameter(w0.copy(), name="w")
-    n = Parameter(n0.copy(), name="norm")
+    w = Parameter(w0.copy())
+    n = Parameter(n0.copy())
     n.decay_exempt = True
     opt = AdamW([("w", w), ("norm", n)], lr=lr, betas=(b1, b2), eps=eps,
                 weight_decay=wd)
@@ -185,9 +185,9 @@ def test_cosine_lr_hand_values_and_range():
 
 
 def test_clip_grad_norm_scale_and_clipped_norm():
-    a = Parameter(np.zeros(2), name="a")
-    b = Parameter(np.zeros(1), name="b")
-    idle = Parameter(np.zeros(3), name="idle")      # no gradient: skipped
+    a = Parameter(np.zeros(2))
+    b = Parameter(np.zeros(1))
+    idle = Parameter(np.zeros(3))      # no gradient: skipped
     a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])   # global norm 13
     assert clip_grad_norm([a, b, idle], max_norm=13.0) == 1.0
     assert np.array_equal(a.grad, [3.0, 4.0]) and np.array_equal(b.grad, [12.0])
@@ -199,7 +199,7 @@ def test_clip_grad_norm_scale_and_clipped_norm():
 
 
 def test_ema_averaged_divides_out_the_startup_bias():
-    p = Parameter(np.array([2.0, -4.0]), name="p")
+    p = Parameter(np.array([2.0, -4.0]))
     ema = EmaState([("p", p)], decay=0.5)
     assert np.array_equal(ema.averaged()["p"], p.data)   # before any update
     ema.update()
@@ -227,6 +227,17 @@ def test_two_micro_fits_are_bitwise_equal():
     assert len(first.step_losses) == 4
     assert first.step_losses == second.step_losses
     assert first.history == second.history
+
+
+@pytest.mark.parametrize("n_train, n_val", [(0, 1), (1, 0)])
+def test_fit_rejects_an_empty_sample_list(tmp_path, n_train, n_val):
+    samples = [synth_sample(i, 32) for i in range(2)]
+    with pytest.raises(ValueError, match="at least one training and one "
+                                         f"validation sample, got {n_train} "
+                                         f"and {n_val}"):
+        fit(MedLiteNet(ModelConfig.micro(32), seed=0), samples[:n_train],
+            samples[1:1 + n_val], TrainConfig(epochs=1), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 class _Constant:
