@@ -29,8 +29,9 @@ from .data import (
 from .estimator import MedLiteNetSegmenter
 from .gradcheck import finite_diff_gradcheck
 from .losses import bce_loss, dice_loss, total_loss
-from .metrics import EvalRecord, confusion_metrics, dice_coef, dice_from_iou, iou
-from .model import ConfigError, MedLiteNet, ModelConfig, build_model, predict_mask
+from .errors import ConfigError
+from .metrics import EvalRecord, confusion_metrics, dice_coef, iou
+from .model import MedLiteNet, ModelConfig, build_model, predict_mask
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .training import (
     AdamW,
@@ -81,7 +82,6 @@ __all__ = [
     "corpus_digest",
     "cosine_lr",
     "dice_coef",
-    "dice_from_iou",
     "dice_loss",
     "ensemble_weights",
     "evaluate",

@@ -56,13 +56,11 @@ __all__ = [
     "tmean",
     "reshape",
     "transpose",
-    "concat",
     "concat_channels",
     "conv2d",
     "conv2d_direct",
     "batchnorm2d",
     "upsample_bilinear",
-    "global_avg_pool",
     "broadcast_spatial",
     "pad_edge",
 ]
@@ -484,8 +482,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axes) if axes else g
-        g = np.broadcast_to(g, a.data.shape) / count
-        return (g.astype(a.data.dtype, copy=False),)
+        # divide before broadcasting: the same quotients, no full-size array
+        return (np.broadcast_to(g / count, a.data.shape).astype(
+            a.data.dtype, copy=False),)
 
     return _record("mean", out, (a,), bw)
 
@@ -503,20 +502,6 @@ def transpose(a: Tensor, axes) -> Tensor:
                    lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of an empty list")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def bw(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(p if t.requires_grad else None
-                     for p, t in zip(pieces, tensors))
-
-    return _record("concat", out, tuple(tensors), bw)
-
-
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate NCHW tensors along the channel axis."""
     first = tensors[0]
@@ -528,7 +513,15 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_channels: input {i} has shape {tuple(t.shape)}, "
                 f"expected N={first.shape[0]} and spatial {tuple(first.shape[2:])}")
-    return concat(tensors, axis=1)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+
+    def bw(g):
+        pieces = np.split(g, splits, axis=1)
+        return tuple(p if t.requires_grad else None
+                     for p, t in zip(pieces, tensors))
+
+    return _record("concat_channels", out, tuple(tensors), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +562,6 @@ class Conv2dSpec:
     dilation: int = 1
     groups: int = 1
     padding: Optional[int] = None   # None -> "same" for stride 1, odd kernel
-    bias: bool = False
 
     def __post_init__(self):
         if self.stride <= 0 or self.dilation <= 0:
@@ -1058,20 +1050,6 @@ def upsample_bilinear(x: Tensor, scale: int = 2) -> Tensor:
         return (np.ascontiguousarray(gx),)
 
     return _record("upsample_bilinear", out, (x,), bw)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean per channel: [N,C,H,W] -> [N,C,1,1]."""
-    if x.ndim != 4:
-        raise ShapeError("global_avg_pool: input must be 4-D NCHW")
-    n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
-
-    def bw(g):
-        return (np.broadcast_to(g / (h * w), x.data.shape).astype(
-            x.data.dtype, copy=False),)
-
-    return _record("global_avg_pool", out, (x,), bw)
 
 
 def broadcast_spatial(x: Tensor, hw: tuple) -> Tensor:

@@ -22,7 +22,6 @@ from .autodiff import (
     concat_channels,
     conv2d,
     div,
-    global_avg_pool,
     handover,
     matmul,
     mul,
@@ -157,11 +156,10 @@ class ModuleList(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel, rng,
-                 stride=1, dilation=1, groups=1, bias=False, padding=None):
+                 stride=1, dilation=1, groups=1, bias=False):
         super().__init__()
         self.spec = Conv2dSpec(in_channels, out_channels, kernel,
-                               stride=stride, dilation=dilation, groups=groups,
-                               padding=padding, bias=bias)
+                               stride=stride, dilation=dilation, groups=groups)
         fan_in = (in_channels // groups) * kernel * kernel
         self.weight = Parameter(kaiming_uniform(rng, self.spec.weight_shape, fan_in))
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
@@ -171,11 +169,10 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
-        self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.gamma.decay_exempt = True
@@ -264,11 +261,7 @@ class MBConvBlock(Module):
         if stride not in (1, 2):
             raise ShapeError(f"MBConv stride must be 1 or 2, got {stride}")
         self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.expansion = expansion
-        self.stride = stride
-        self.expanded = expansion * in_channels
-        ce = self.expanded
+        ce = expansion * in_channels
         self.expand = Conv2d(in_channels, ce, 1, rng)
         self.bn1 = BatchNorm2d(ce)
         self.depthwise = Conv2d(ce, ce, 3, rng, stride=stride, groups=ce)
@@ -328,13 +321,6 @@ class Tokenizer(Module):
         self.in_channels = in_channels
         self.dim = dim
         self.proj = Linear(in_channels, dim, rng)
-        self._pe_cache = {}
-
-    def encoding(self, h, w) -> Tensor:
-        key = (h, w)
-        if key not in self._pe_cache:
-            self._pe_cache[key] = Tensor(sinusoidal_encoding_2d(h, w, self.dim))
-        return self._pe_cache[key]
 
     def tokenize(self, fmap: Tensor) -> Tensor:
         n, c, h, w = fmap.shape
@@ -342,7 +328,7 @@ class Tokenizer(Module):
             raise ShapeError(
                 f"tokenize: {c} channels, projection expects {self.in_channels}")
         seq = reshape(transpose(fmap, (0, 2, 3, 1)), (n, h * w, c))
-        return self.proj(seq) + self.encoding(h, w)
+        return self.proj(seq) + Tensor(sinusoidal_encoding_2d(h, w, self.dim))
 
     def detokenize(self, tokens: Tensor, h: int, w: int) -> Tensor:
         n, t, d = tokens.shape
@@ -441,7 +427,6 @@ class BoundaryAttention(Module):
 
     def __init__(self, channels, rng, trans_dim: Optional[int] = None):
         super().__init__()
-        self.channels = channels
         self._lap_weight = Tensor(LAPLACIAN_KERNEL.reshape(1, 1, 3, 3))
         self._lap_spec = Conv2dSpec(1, 1, 3, padding=0)
         self.global_proj = (Conv2d(trans_dim, 1, 1, rng)
@@ -504,7 +489,7 @@ class ASPPModule(Module):
     def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[2], x.shape[3]
         outs = [silu(branch(x)) for branch in self.branches]
-        pooled = silu(self.pool_conv(global_avg_pool(x)))
+        pooled = silu(self.pool_conv(tmean(x, axis=(2, 3), keepdims=True)))
         outs.append(broadcast_spatial(pooled, (h, w)))
         return silu(self.fuse(concat_channels(outs)))
 
@@ -524,7 +509,8 @@ class SCSEBlock(Module):
         self.sp_gate = Conv2d(channels, 1, 1, rng, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        cgate = sigmoid(self.ch_excite(relu(self.ch_squeeze(global_avg_pool(x)))))
+        pooled = tmean(x, axis=(2, 3), keepdims=True)
+        cgate = sigmoid(self.ch_excite(relu(self.ch_squeeze(pooled))))
         sgate = sigmoid(self.sp_gate(x))
         return mul(x, cgate) + mul(x, sgate)
 

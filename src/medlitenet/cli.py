@@ -23,8 +23,9 @@ from .data import (
     make_split,
     synth_sample,
 )
+from .errors import ConfigError
 from .metrics import confusion_metrics
-from .model import ConfigError, MedLiteNet, predict_mask
+from .model import MedLiteNet, predict_mask
 from .netpbm import (
     NetpbmError,
     load_image_ppm,
@@ -38,6 +39,14 @@ from .training import Ensemble, NumericalError, fit, predict_proba
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+
+
+def threshold(text: str) -> float:
+    """The ``--threshold`` type: a number in [0, 1] (NaN is not)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="checkpoint file")
     p.add_argument("--input", required=True, help="input .ppm file or directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=threshold, default=0.5,
                    help="mask threshold in [0, 1]")
     p.add_argument("--tta", action="store_true",
                    help="use six-fold test-time augmentation")
@@ -88,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset directory of ppm/pgm pairs")
     p.add_argument("--tta", action="store_true",
                    help="use six-fold test-time augmentation")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=threshold, default=0.5,
                    help="mask threshold in [0, 1]")
     p.add_argument("--out", default=None, help="optional CSV output path")
 
@@ -98,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="ops", help="which suite to run")
     p.add_argument("--tol", type=float, default=None,
                    help="override the scope's default tolerance")
-    p.add_argument("--inject-error", action="store_true",
-                   help=argparse.SUPPRESS)   # harness sanity hook
 
     p = sub.add_parser("params", help="print the parameter budget",
                        formatter_class=fmt)
@@ -186,9 +193,6 @@ def _list_inputs(path: Path):
 
 
 def cmd_infer(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(
-            f"--threshold must lie in [0, 1], got {args.threshold}")
     model, _ = load_checkpoint(args.ckpt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,9 +254,6 @@ def _load_ensemble(paths) -> Ensemble:
 
 
 def cmd_eval(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(
-            f"--threshold must lie in [0, 1], got {args.threshold}")
     if args.pred_dir and args.gt_dir:
         rows = _eval_rows_from_dirs(Path(args.pred_dir), Path(args.gt_dir))
     elif (args.ensemble or args.ckpt) and args.dataset:
@@ -286,8 +287,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    checks = gc.run_scope(args.scope, tol=args.tol,
-                          inject_error=args.inject_error)
+    checks = gc.run_scope(args.scope, tol=args.tol)
     tol = args.tol if args.tol is not None else gc.DEFAULT_TOLS[args.scope]
     width = max(len(name) for name, _ in checks)
     failures = 0

@@ -1,16 +1,16 @@
 """Scikit-learn style estimator wrapper around the segmentation stack.
 
 ``MedLiteNetSegmenter`` follows the sklearn estimator contract without
-importing sklearn: constructor arguments are stored verbatim, ``get_params``
-/ ``set_params`` introspect the signature, fitted state lives in trailing-
-underscore attributes, and ``fit`` returns ``self`` -- so the class works
-with ``sklearn.base.clone``, pipelines and model-selection utilities.
+importing sklearn: it is a dataclass, so constructor arguments are stored
+verbatim, ``get_params`` / ``set_params`` read its fields, fitted state lives
+in trailing-underscore attributes, and ``fit`` returns ``self`` -- so the
+class works with ``sklearn.base.clone``, pipelines and model-selection
+utilities.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,8 @@ def validate_image_batch(X) -> np.ndarray:
     if arr.shape[2] % 32 or arr.shape[3] % 32:
         raise ValueError(
             f"image size {arr.shape[2]}x{arr.shape[3]} must be divisible by 32")
+    if not np.isfinite(arr).all():
+        raise ValueError("X must be finite; it contains NaN or inf")
     if arr.min() < -1e-6 or arr.max() > 1 + 1e-6:
         raise ValueError("X must contain raw intensities in [0, 1]; "
                          "normalization happens inside the estimator")
@@ -59,54 +61,44 @@ def validate_mask_batch(y, X: np.ndarray) -> np.ndarray:
     return arr
 
 
+@dataclass(eq=False)
 class MedLiteNetSegmenter:
     """Binary lesion segmenter with a fit/predict interface.
 
     Parameters mirror the architectural and training knobs; defaults are the
     desk-scale micro configuration so ``fit`` on a handful of images finishes
-    in seconds-to-minutes on a CPU.
+    in seconds-to-minutes on a CPU.  ``eq=False`` keeps identity equality
+    and hashing, as sklearn estimators have.
     """
 
-    def __init__(self, stage_widths=(8, 16, 24, 32), trans_dim=32,
-                 trans_layers=1, trans_heads=4, decoder_widths=(16, 16, 8, 8),
-                 aspp_branch_width=16, aspp_out_channels=32, expansion=6,
-                 width_mult=1.0, epochs=20, batch_size=4, lr0=1e-3,
-                 weight_decay=0.01, clip_norm=0.5, ema_decay=0.999,
-                 accumulation=2, val_fraction=0.2, threshold=0.5,
-                 use_augment=False, use_tta=False, seed=0):
-        self.stage_widths = stage_widths
-        self.trans_dim = trans_dim
-        self.trans_layers = trans_layers
-        self.trans_heads = trans_heads
-        self.decoder_widths = decoder_widths
-        self.aspp_branch_width = aspp_branch_width
-        self.aspp_out_channels = aspp_out_channels
-        self.expansion = expansion
-        self.width_mult = width_mult
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr0 = lr0
-        self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
-        self.ema_decay = ema_decay
-        self.accumulation = accumulation
-        self.val_fraction = val_fraction
-        self.threshold = threshold
-        self.use_augment = use_augment
-        self.use_tta = use_tta
-        self.seed = seed
+    stage_widths: tuple = (8, 16, 24, 32)
+    trans_dim: int = 32
+    trans_layers: int = 1
+    trans_heads: int = 4
+    decoder_widths: tuple = (16, 16, 8, 8)
+    aspp_branch_width: int = 16
+    aspp_out_channels: int = 32
+    expansion: int = 6
+    width_mult: float = 1.0
+    epochs: int = 20
+    batch_size: int = 4
+    lr0: float = 1e-3
+    weight_decay: float = 0.01
+    clip_norm: float = 0.5
+    ema_decay: float = 0.999
+    accumulation: int = 2
+    val_fraction: float = 0.2
+    threshold: float = 0.5
+    use_augment: bool = False
+    use_tta: bool = False
+    seed: int = 0
 
     # -- sklearn plumbing ----------------------------------------------------
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(

@@ -218,8 +218,6 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
     xu = _rand(rng, (2, 3, 4, 4))
     w_up = _weigher(rng, (2, 3, 8, 8))
     run("upsample_bilinear", lambda t: w_up(ad.upsample_bilinear(t, 2)), xu)
-    w_gap = _weigher(rng, (2, 3, 1, 1))
-    run("global_avg_pool", lambda t: w_gap(ad.global_avg_pool(t)), xu)
     w_bc = _weigher(rng, (2, 3, 6, 6))
     run("broadcast_spatial", lambda t: w_bc(ad.broadcast_spatial(t, (6, 6))),
         _rand(rng, (2, 3, 1, 1)))
@@ -354,28 +352,8 @@ def model_suite(tol: float = DEFAULT_TOLS["model"], coords: int = 32) -> list:
     return [("model_micro_32x32", report)]
 
 
-def run_scope(scope: str, tol: float = None, inject_error: bool = False) -> list:
+def run_scope(scope: str, tol: float = None) -> list:
     if scope not in DEFAULT_TOLS:
         raise ValueError(f"unknown gradcheck scope {scope!r}")
-    tol = DEFAULT_TOLS[scope] if tol is None else tol
-    if scope == "ops":
-        checks = ops_suite(tol)
-    elif scope == "blocks":
-        checks = blocks_suite(tol)
-    else:
-        checks = model_suite(tol)
-    if inject_error:
-        rng = np.random.default_rng(99)
-        x = _rand(rng, (3, 4))
-        w = _weigher(rng, (3, 4))
-        checks.append(("corrupted_gradient_hook",
-                       finite_diff_gradcheck(
-                           lambda t: w(_corrupted_identity(ad.sigmoid(t))),
-                           x, tol=tol)))
-    return checks
-
-
-def _corrupted_identity(t: Tensor) -> Tensor:
-    # deliberately wrong backward; exists to prove the harness catches errors
-    out = Tensor(t.data.copy())
-    return ad._record("corrupted_identity", out, (t,), lambda g: (g * 1.05,))
+    suite = {"ops": ops_suite, "blocks": blocks_suite, "model": model_suite}[scope]
+    return suite(DEFAULT_TOLS[scope] if tol is None else tol)

@@ -6,6 +6,9 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, clamp, log, mul, tmean, tsum
 
+SMOOTH = 1e-6        # Dice smoothing: two empty maps score 1, not 0/0
+PROB_CLAMP = 1e-7    # BCE keeps probabilities in [PROB_CLAMP, 1 - PROB_CLAMP]
+
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -25,26 +28,26 @@ def _sample_axes(t: Tensor):
     return tuple(range(1, t.ndim)) if t.ndim > 1 else None
 
 
-def dice_coef_soft(p, g, smooth: float = 1e-6) -> Tensor:
+def dice_coef_soft(p, g) -> Tensor:
     """Soft Dice on probabilities, computed per sample then batch-averaged."""
     p, g = _as_tensor(p), _as_tensor(g)
     _check_pair(p, g)
     axes = _sample_axes(p)
     inter = tsum(mul(p, g), axis=axes)
     denom = tsum(p, axis=axes) + tsum(g, axis=axes)
-    return tmean((2.0 * inter + smooth) / (denom + smooth))
+    return tmean((2.0 * inter + SMOOTH) / (denom + SMOOTH))
 
 
-def dice_loss(p, g, smooth: float = 1e-6) -> Tensor:
+def dice_loss(p, g) -> Tensor:
     """1 - soft Dice; zero when prediction equals a binary target."""
-    return 1.0 - dice_coef_soft(p, g, smooth)
+    return 1.0 - dice_coef_soft(p, g)
 
 
-def bce_loss(p, g, prob_clamp: float = 1e-7) -> Tensor:
+def bce_loss(p, g) -> Tensor:
     """Mean binary cross-entropy with probability clamping for finite logs."""
     p, g = _as_tensor(p), _as_tensor(g)
     _check_pair(p, g)
-    pc = clamp(p, prob_clamp, 1.0 - prob_clamp)
+    pc = clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     pos = mul(g, log(pc))
     neg = mul(1.0 - g, log(1.0 - pc))
     return -tmean(pos + neg)

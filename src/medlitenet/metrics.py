@@ -59,13 +59,6 @@ def iou(pred_mask, gt_mask) -> float:
     return inter / union
 
 
-def dice_from_iou(value: float) -> float:
-    """Dice = 2*IoU / (IoU + 1), the exact algebraic relation."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"iou must lie in [0, 1], got {value}")
-    return 2.0 * value / (value + 1.0)
-
-
 def confusion_metrics(pred_mask, gt_mask) -> EvalRecord:
     """Pixel confusion counts plus the derived rates.
 
@@ -80,9 +73,10 @@ def confusion_metrics(pred_mask, gt_mask) -> EvalRecord:
     fn = int(np.count_nonzero(~p & g))
     tn = int(np.count_nonzero(~p & ~g))
     n = tp + fp + tn + fn
+    # Dice and IoU from the same counts; both-empty masks score 1
     return EvalRecord(
-        dice=dice_coef(p.astype(np.uint8), g.astype(np.uint8)),
-        iou=iou(p.astype(np.uint8), g.astype(np.uint8)),
+        dice=2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 1.0,
+        iou=tp / (tp + fp + fn) if tp + fp + fn else 1.0,
         accuracy=(tp + tn) / n,
         sensitivity=tp / (tp + fn) if tp + fn else 1.0,
         specificity=tn / (tn + fp) if tn + fp else 1.0,

@@ -33,7 +33,7 @@ from .blocks import (
     Tokenizer,
     TransformerLayer,
 )
-from .errors import ConfigError, require
+from .errors import require
 
 DOWNSAMPLE_FACTOR = 32
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .data import AugmentConfig
-from .errors import parse, require
+from .errors import ConfigError, parse, require
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -86,8 +86,14 @@ _Loader.add_implicit_resolver(
 
 
 def load_run_config(path=None) -> RunConfig:
-    """Parse a YAML config file; a missing/empty file gives the defaults."""
-    raw = None if path is None else yaml.load(Path(path).read_text(), Loader=_Loader)
+    """Parse a YAML config file; no path or an empty file gives the defaults.
+    A file that exists but is no YAML or cannot be read raises ConfigError."""
+    try:
+        raw = None if path is None else yaml.load(Path(path).read_text(), Loader=_Loader)
+    except FileNotFoundError:
+        raise
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {path} cannot be loaded: {exc}") from exc
     return run_config_from_dict({} if raw is None else raw)
 
 

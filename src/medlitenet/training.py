@@ -73,11 +73,9 @@ class AdamW:
     before any weight changes, naming the tensor.
     """
 
-    def __init__(self, named_params: Sequence[tuple], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, named_params: Sequence[tuple], betas=(0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.01):
         self.named_params = list(named_params)
-        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -87,8 +85,7 @@ class AdamW:
         self.exp_avg_sq = {name: np.zeros_like(p.data)
                            for name, p in self.named_params}
 
-    def step(self, lr: Optional[float] = None):
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float):
         for name, p in self.named_params:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericalError(
@@ -132,7 +129,7 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float
                                                            / total_epochs))
 
 
-def clip_grad_norm(params, max_norm: float = 0.5) -> float:
+def clip_grad_norm(params, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
 
     Returns the applied scale (1.0 when no clipping was needed).
@@ -234,7 +231,7 @@ def batch_arrays(samples: Sequence[SegmentationSample]) -> tuple:
 
 
 def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
-             batch_size: int = 4, threshold: float = 0.5) -> dict:
+             batch_size: int = 4) -> dict:
     """Eval-mode loss/Dice/IoU over a sample list (per-sample metric means)."""
     model.eval()
     losses, dices, ious = [], [], []
@@ -244,7 +241,7 @@ def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
         probs = model(Tensor(images))
         losses.append(float(total_loss(probs, Tensor(masks)).item())
                       * len(chunk))
-        hard = predict_mask(probs, threshold)
+        hard = predict_mask(probs)
         for j in range(len(chunk)):
             dices.append(dice_coef(hard[j], masks[j]))
             ious.append(iou_metric(hard[j], masks[j]))
@@ -280,8 +277,8 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
             f"fit needs at least one training and one validation sample, got "
             f"{len(train_samples)} and {len(val_samples)}")
     named = list(model.named_parameters())
-    opt = AdamW(named, lr=config.lr0, betas=(config.beta1, config.beta2),
-                eps=config.eps, weight_decay=config.weight_decay)
+    opt = AdamW(named, betas=(config.beta1, config.beta2), eps=config.eps,
+                weight_decay=config.weight_decay)
     ema = EmaState(named, decay=config.ema_decay,
                    named_states=list(model.named_states()))
     aug_cfg = augment_config or AugmentConfig()

@@ -555,16 +555,36 @@ class TestLinearAlgebraOps:
         assert const.shape == (1, 2, 6, 6)
         assert np.allclose(const.data, 2.5)
 
-    def test_global_avg_pool(self):
-        const = ad.global_avg_pool(Tensor(np.full((1, 2, 4, 4), 3.0, np.float32)))
+    def test_spatial_mean_pools_each_channel(self):
+        # the pooled branch of ASPP and the channel gate of SCSE
+        const = ad.tmean(Tensor(np.full((1, 2, 4, 4), 3.0, np.float32)),
+                         axis=(2, 3), keepdims=True)
+        assert const.shape == (1, 2, 1, 1)
         assert np.allclose(const.data, 3.0)
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32),
                    requires_grad=True)
         with Graph() as g:
-            out = ad.global_avg_pool(x)
+            out = ad.tmean(x, axis=(2, 3), keepdims=True)
             assert out.item() == pytest.approx(2.5)
             backward(ad.tsum(out), g)
         assert np.allclose(x.grad, 0.25)
+
+    @pytest.mark.parametrize("axis, keepdims", [((2, 3), True), (1, True),
+                                                (-1, False), (None, False)])
+    def test_mean_gradient_matches_full_size_division(self, axis, keepdims):
+        # reference: the upstream gradient broadcast to the input, then divided
+        x = Tensor(rng(3).uniform(-1, 1, (2, 3, 5, 7)).astype(np.float32),
+                   requires_grad=True)
+        weight = rng(4).uniform(0.5, 1.5, ad.tmean(x, axis, keepdims).shape)
+        with Graph() as g:
+            out = ad.tmean(x, axis, keepdims)
+            backward(ad.tsum(ad.mul(out, Tensor(weight.astype(np.float32)))), g)
+        axes = tuple(range(4)) if axis is None else np.atleast_1d(axis) % 4
+        up = weight.astype(np.float32)
+        if not keepdims:
+            up = np.expand_dims(up, tuple(axes))
+        count = int(np.prod([x.shape[i] for i in axes]))
+        assert x.grad.tobytes() == (np.broadcast_to(up, x.shape) / count).tobytes()
 
     def test_concat_channels(self):
         a = Tensor(rng(1).uniform(0, 1, (1, 2, 4, 4)).astype(np.float32))

@@ -102,3 +102,15 @@ def test_synth_train_infer_eval_end_to_end(tmp_path, capsys):
     assert cli.main(["infer", "--ckpt", ckpt, "--input", str(bad),
                      "--out", str(tmp_path / "bad_out")]) == 2
     assert "truncated pixel payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--ckpt", "m.ckpt", "--input", "in", "--out", "out",
+     "--threshold", "1.5"],
+    ["eval", "--pred-dir", "p", "--gt-dir", "g", "--threshold", "nan"],
+], ids=["infer-1.5", "eval-nan"])
+def test_threshold_outside_unit_interval_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --threshold: must lie in [0, 1]" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """The sklearn estimator contract of ``MedLiteNetSegmenter``."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def test_params_round_trip():
     assert est.get_params() == {**params, "seed": 7, "use_tta": True}
 
 
+def test_constructor_signature_lists_every_param():
+    # sklearn's clone rebuilds an estimator from the keyword parameters of
+    # its __init__; estimators compare and hash by identity
+    sig = inspect.signature(MedLiteNetSegmenter)
+    est = MedLiteNetSegmenter()
+    assert list(sig.parameters) == list(est.get_params())
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig.parameters.values())
+    assert est != MedLiteNetSegmenter() and est in {est}
+
+
 def test_set_params_rejects_unknown_key():
     est = MedLiteNetSegmenter()
     with pytest.raises(ValueError, match="invalid parameter 'depth'"):
@@ -44,6 +56,17 @@ def test_predict_before_fit_raises(data):
         with pytest.raises(NotFittedError, match="not fitted"):
             method(data[0])
     assert isinstance(NotFittedError("x"), (ValueError, AttributeError))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_pixels_are_rejected(fitted, data, bad):
+    X = data[0].copy()
+    X[1, 2, 3, 4] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        MedLiteNetSegmenter(epochs=1).fit(X, data[1])
+    for method in (fitted.predict_proba, fitted.predict):
+        with pytest.raises(ValueError, match="X must be finite"):
+            method(X)
 
 
 def test_fit_checks_config_types_naming_the_key(data):

@@ -7,7 +7,7 @@ from medlitenet import losses, metrics
 from medlitenet.autodiff import ShapeError, Tensor
 from medlitenet.gradcheck import finite_diff_gradcheck
 from medlitenet.losses import bce_loss, dice_coef_soft, dice_loss, total_loss
-from medlitenet.metrics import confusion_metrics, dice_coef, dice_from_iou, iou
+from medlitenet.metrics import confusion_metrics, dice_coef, iou
 
 
 def rng(seed=0):
@@ -138,19 +138,11 @@ class TestHardMetrics:
 
 
 class TestDiceIouIdentity:
-    def test_endpoints(self):
-        assert dice_from_iou(0.0) == 0.0
-        assert dice_from_iou(1.0) == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            dice_from_iou(1.2)
-        with pytest.raises(ValueError):
-            dice_from_iou(-0.01)
+    # Dice = 2 IoU / (IoU + 1) holds exactly for any pair of masks
 
     def test_reported_pair_consistent(self):
         # the published single-model pair: Dice 0.897 +/- 0.010, IoU 0.821
-        assert abs(dice_from_iou(0.821) - 0.897) <= 0.010
+        assert abs(2.0 * 0.821 / (0.821 + 1.0) - 0.897) <= 0.010
 
     def test_identity_over_random_masks(self):
         r = rng(3)
@@ -158,7 +150,8 @@ class TestDiceIouIdentity:
         for _ in range(1000):
             a = (r.uniform(0, 1, (8, 8)) > r.uniform(0.2, 0.8)).astype(np.uint8)
             b = (r.uniform(0, 1, (8, 8)) > r.uniform(0.2, 0.8)).astype(np.uint8)
-            worst = max(worst, abs(dice_coef(a, b) - dice_from_iou(iou(a, b))))
+            j = iou(a, b)
+            worst = max(worst, abs(dice_coef(a, b) - 2.0 * j / (j + 1.0)))
         assert worst < 1e-12
 
 

@@ -7,7 +7,8 @@ import re
 import pytest
 
 from medlitenet import cli
-from medlitenet.model import ConfigError, ModelConfig
+from medlitenet.errors import ConfigError
+from medlitenet.model import ModelConfig
 from medlitenet.runconfig import (
     dump_resolved,
     load_run_config,
@@ -170,3 +171,16 @@ def test_cli_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert re.search(rf"error: config key {section}\.{key} {rule}", err), err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["truncated", "python_tag", "directory"])
+def test_cli_unloadable_config_exits_2_naming_the_file(tmp_path, capsys, case):
+    path = tmp_path / "run.yaml"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_text({"truncated": "train: {epochs: [1,\n",
+                         "python_tag": "train: !!python/object:os.getcwd {}\n"}[case])
+    assert cli.main(["params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} cannot be loaded: "), err

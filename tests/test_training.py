@@ -44,15 +44,15 @@ def test_adamw_rejects_non_finite_gradient(bad):
     b = Parameter(np.ones(2, np.float32))
     a.grad = np.full(3, 0.5, np.float32)
     b.grad = np.array([0.1, bad], np.float32)
-    opt = AdamW([("a", a), ("b", b)], lr=0.1)
+    opt = AdamW([("a", a), ("b", b)])
     with pytest.raises(NumericalError, match="non-finite gradient in parameter 'b'"):
-        opt.step()
+        opt.step(0.1)
     # no weight moved, not even those checked before the bad one
     assert np.array_equal(a.data, np.ones(3, np.float32))
     assert np.array_equal(b.data, np.ones(2, np.float32))
     assert opt.step_count == 0
     b.grad[1] = 0.0
-    opt.step()
+    opt.step(0.1)
     assert opt.step_count == 1
     assert (a.data < 1).all()
 
@@ -154,19 +154,19 @@ def test_adamw_matches_closed_form_with_decay_exemption():
     w = Parameter(w0.copy())
     n = Parameter(n0.copy())
     n.decay_exempt = True
-    opt = AdamW([("w", w), ("norm", n)], lr=lr, betas=(b1, b2), eps=eps,
+    opt = AdamW([("w", w), ("norm", n)], betas=(b1, b2), eps=eps,
                 weight_decay=wd)
     gw = [np.array([0.5, -1.0, 2.0]), np.array([-0.25, 0.75, 1.0])]
     gn = [np.array([1.5, -0.5]), np.array([0.5, 0.25])]
     # one step: with m and v bias-corrected, the update is g / (|g| + eps)
     w.grad, n.grad = gw[0].copy(), gn[0].copy()
-    opt.step()
+    opt.step(lr)
     assert np.allclose(w.data, w0 * (1 - lr * wd) - lr * gw[0] / (np.abs(gw[0]) + eps),
                        rtol=1e-12, atol=0)
     assert np.allclose(n.data, n0 - lr * gn[0] / (np.abs(gn[0]) + eps),
                        rtol=1e-12, atol=0)
     w.grad, n.grad = gw[1].copy(), gn[1].copy()
-    opt.step()
+    opt.step(lr)
     assert opt.step_count == 2
     assert np.allclose(w.data, _adamw_closed_form(w0, gw, lr, b1, b2, eps, wd),
                        rtol=1e-12, atol=0)
