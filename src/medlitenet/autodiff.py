@@ -884,6 +884,9 @@ class BatchNormState:
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
 
+# The variance epsilon of batchnorm2d and blocks.LayerNorm.
+NORM_EPS = 1e-5
+
 # Scratch bytes of one sigmoid chunk in _affine_silu.
 _SILU_CHUNK_BYTES = 1 << 18
 
@@ -911,7 +914,7 @@ def _affine_silu(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5,
+                training: bool, momentum: float = 0.1,
                 silu: bool = False) -> Tensor:
     """Per-channel batch normalization over (N, H, W), optionally then SiLU.
 
@@ -928,8 +931,6 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4-D NCHW, got rank {x.ndim}")
-    if eps <= 0:
-        raise ValueError("batchnorm2d: eps must be positive")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -947,7 +948,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     else:
         mean = state.mean.astype(x.data.dtype, copy=False)
         var = state.var.astype(x.data.dtype, copy=False)
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + NORM_EPS)
     scale = (gamma.data * invstd).reshape(1, c, 1, 1)
     shift = beta.data.reshape(1, c, 1, 1) - mean.reshape(1, c, 1, 1) * scale
 

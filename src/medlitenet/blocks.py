@@ -12,6 +12,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .autodiff import (
+    NORM_EPS,
     BatchNormState,
     Conv2dSpec,
     Parameter,
@@ -171,7 +172,6 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels):
         super().__init__()
-        self.eps = 1e-5
         self.momentum = 0.1
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
@@ -183,27 +183,23 @@ class BatchNorm2d(Module):
         """BatchNorm of ``x``; ``silu=True`` fuses the SiLU that follows."""
         return batchnorm2d(x, self.gamma, self.beta, self.stats,
                            training=self.training, momentum=self.momentum,
-                           eps=self.eps, silu=silu)
+                           silu=silu)
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng, bias=True):
+    def __init__(self, in_features, out_features, rng):
         super().__init__()
         self.weight = Parameter(
             kaiming_uniform(rng, (in_features, out_features), in_features))
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return matmul(x, self.weight) + self.bias
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5):
+    def __init__(self, dim):
         super().__init__()
-        self.eps = eps
         self.gamma = Parameter(np.ones(dim, dtype=np.float32))
         self.beta = Parameter(np.zeros(dim, dtype=np.float32))
         self.gamma.decay_exempt = True
@@ -213,7 +209,7 @@ class LayerNorm(Module):
         mu = tmean(x, axis=-1, keepdims=True)
         xc = sub(x, mu)
         var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-        xn = div(xc, sqrt(var + self.eps))
+        xn = div(xc, sqrt(var + NORM_EPS))
         return xn * self.gamma + self.beta
 
 

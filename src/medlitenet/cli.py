@@ -16,16 +16,10 @@ import numpy as np
 from . import gradcheck as gc
 from .autodiff import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint
-from .data import (
-    _assign_difficulties,
-    generate_samples,
-    load_dataset_dir,
-    make_split,
-    synth_sample,
-)
+from .data import generate_samples, load_dataset_dir, make_split, synth_sample
 from .errors import ConfigError
 from .metrics import confusion_metrics
-from .model import MedLiteNet, predict_mask
+from .model import DOWNSAMPLE_FACTOR, MedLiteNet, predict_mask
 from .netpbm import (
     NetpbmError,
     load_image_ppm,
@@ -60,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--count", type=int, default=16, help="number of samples")
     p.add_argument("--size", type=int, default=64,
-                   help="image size (multiple of 32)")
+                   help=f"image size (multiple of {DOWNSAMPLE_FACTOR})")
     p.add_argument("--seed", type=int, default=0, help="base sample seed")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -119,17 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    if args.size % 32 != 0 or args.size <= 0:
-        raise ConfigError(
-            f"--size must be a positive multiple of 32, got {args.size}")
+    if args.size % DOWNSAMPLE_FACTOR != 0 or args.size <= 0:
+        raise ConfigError(f"--size must be a positive multiple of "
+                          f"{DOWNSAMPLE_FACTOR}, got {args.size}")
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng([args.seed, 0])
-    tags = _assign_difficulties(args.count, (0.6, 0.25, 0.15), rng)
-    for i in range(args.count):
-        sample = synth_sample(args.seed + i, args.size, tags[i])
+    # the train split of make_split, one sample in memory at a time
+    for i, spec in enumerate(make_split(args.count, 1, 1, args.seed)[0]):
+        sample = synth_sample(spec.seed, args.size, spec.difficulty)
         name = f"sample_{i:05d}"
         save_image_ppm(out / f"{name}.ppm", sample.image)
         save_mask_pgm(out / f"{name}_mask.pgm", sample.mask)

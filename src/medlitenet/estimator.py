@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import SegmentationSample
 from .errors import parse
-from .model import MedLiteNet, ModelConfig, predict_mask
+from .model import DOWNSAMPLE_FACTOR, MedLiteNet, ModelConfig, predict_mask
 from .metrics import dice_coef
 from .training import TrainConfig, fit, predict_proba
 
@@ -26,7 +26,8 @@ class NotFittedError(ValueError, AttributeError):
 
 
 def validate_image_batch(X) -> np.ndarray:
-    """Check/coerce X into float32 [N, 3, H, W] with H, W divisible by 32."""
+    """Check/coerce X into float32 [N, 3, H, W] with H, W divisible by
+    ``DOWNSAMPLE_FACTOR``."""
     arr = np.asarray(X, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
@@ -34,9 +35,9 @@ def validate_image_batch(X) -> np.ndarray:
         raise ValueError(
             f"X must be [N, 3, H, W] (or a single [3, H, W] image), got "
             f"shape {arr.shape}")
-    if arr.shape[2] % 32 or arr.shape[3] % 32:
-        raise ValueError(
-            f"image size {arr.shape[2]}x{arr.shape[3]} must be divisible by 32")
+    if arr.shape[2] % DOWNSAMPLE_FACTOR or arr.shape[3] % DOWNSAMPLE_FACTOR:
+        raise ValueError(f"image size {arr.shape[2]}x{arr.shape[3]} must be "
+                         f"divisible by {DOWNSAMPLE_FACTOR}")
     if not np.isfinite(arr).all():
         raise ValueError("X must be finite; it contains NaN or inf")
     if arr.min() < -1e-6 or arr.max() > 1 + 1e-6:
@@ -115,6 +116,10 @@ class MedLiteNetSegmenter:
     # -- estimator API --------------------------------------------------------
     def fit(self, X, y):
         """Train on images X in [0, 1] ([N, 3, H, W]) and binary masks y."""
+        for key in ("threshold", "val_fraction"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:     # NaN fails too, as in predict_mask
+                raise ValueError(f"{key} must lie in [0, 1], got {value}")
         X = validate_image_batch(X)
         y = validate_mask_batch(y, X)
         n = X.shape[0]
@@ -132,7 +137,8 @@ class MedLiteNetSegmenter:
 
         # the parameters named like a config field fill that field
         params = {**self.get_params(), "augment": self.use_augment,
-                  "input_size": X.shape[2] if X.shape[2] == X.shape[3] else 32 * 8}
+                  "input_size": X.shape[2] if X.shape[2] == X.shape[3]
+                  else DOWNSAMPLE_FACTOR * 8}
         config, train_config = (
             parse(cls, {k: v for k, v in params.items()
                         if k in {f.name for f in fields(cls)}}, section)

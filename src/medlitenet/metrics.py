@@ -29,34 +29,14 @@ def _as_binary(mask, name: str) -> np.ndarray:
     return arr.astype(bool)
 
 
-def _check_shapes(pred, gt):
-    if pred.shape != gt.shape:
-        raise ValueError(
-            f"mask shapes differ: {pred.shape} vs {gt.shape}")
-
-
 def dice_coef(pred_mask, gt_mask) -> float:
     """Hard Dice overlap; both-empty masks score 1 by convention."""
-    p = _as_binary(pred_mask, "pred_mask")
-    g = _as_binary(gt_mask, "gt_mask")
-    _check_shapes(p, g)
-    inter = int(np.count_nonzero(p & g))
-    total = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
-    if total == 0:
-        return 1.0
-    return 2.0 * inter / total
+    return confusion_metrics(pred_mask, gt_mask).dice
 
 
 def iou(pred_mask, gt_mask) -> float:
     """Intersection over union; both-empty masks score 1 by convention."""
-    p = _as_binary(pred_mask, "pred_mask")
-    g = _as_binary(gt_mask, "gt_mask")
-    _check_shapes(p, g)
-    inter = int(np.count_nonzero(p & g))
-    union = int(np.count_nonzero(p | g))
-    if union == 0:
-        return 1.0
-    return inter / union
+    return confusion_metrics(pred_mask, gt_mask).iou
 
 
 def confusion_metrics(pred_mask, gt_mask) -> EvalRecord:
@@ -67,7 +47,8 @@ def confusion_metrics(pred_mask, gt_mask) -> EvalRecord:
     """
     p = _as_binary(pred_mask, "pred_mask")
     g = _as_binary(gt_mask, "gt_mask")
-    _check_shapes(p, g)
+    if p.shape != g.shape:
+        raise ValueError(f"mask shapes differ: {p.shape} vs {g.shape}")
     tp = int(np.count_nonzero(p & g))
     fp = int(np.count_nonzero(p & ~g))
     fn = int(np.count_nonzero(~p & g))

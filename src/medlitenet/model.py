@@ -99,22 +99,18 @@ class ModelConfig:
                 "must be four decoder widths", self.decoder_widths)
         require(self.width_mult > 0 and np.isfinite(self.width_mult),
                 "model.width_mult", "must be positive and finite", self.width_mult)
-        scaled = self.scaled_decoder_widths()
+        scaled = self.scaled(self.decoder_widths)
         require(all(w % self.scse_reduction == 0 for w in scaled),
                 "model.decoder_widths",
                 f"must scale to widths divisible by model.scse_reduction="
                 f"{self.scse_reduction}", scaled)
         return self
 
-    def scaled_stage_widths(self) -> tuple:
+    def scaled(self, widths: tuple) -> tuple:
+        """``widths`` times ``width_mult``, each rounded to a multiple of 8."""
         if self.width_mult == 1.0:
-            return self.stage_widths
-        return tuple(_round_width(w * self.width_mult) for w in self.stage_widths)
-
-    def scaled_decoder_widths(self) -> tuple:
-        if self.width_mult == 1.0:
-            return self.decoder_widths
-        return tuple(_round_width(w * self.width_mult) for w in self.decoder_widths)
+            return widths
+        return tuple(_round_width(w * self.width_mult) for w in widths)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -152,8 +148,8 @@ class MedLiteNet(Module):
         self.seed = seed
         rng = np.random.default_rng(seed)
 
-        widths = config.scaled_stage_widths()
-        dec_widths = config.scaled_decoder_widths()
+        widths = config.scaled(config.stage_widths)
+        dec_widths = config.scaled(config.decoder_widths)
         dim = config.trans_dim
 
         self.stem = ConvBnSiLU(config.in_channels, widths[0], 3, rng, stride=2)

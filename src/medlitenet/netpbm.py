@@ -52,19 +52,23 @@ def _parse_header(buf: bytes, magic: bytes):
     return width, height, pos
 
 
-def load_image_ppm(path) -> np.ndarray:
-    """Read a binary P6 image into a float32 [3, H, W] array in [0, 1]."""
+def _read_payload(path, magic: bytes, channels: int) -> np.ndarray:
+    """The uint8 payload of a binary netpbm file as [channels, H, W]."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    width, height, pos = _parse_header(buf, b"P6")
-    need = width * height * 3
+    width, height, pos = _parse_header(buf, magic)
+    need = width * height * channels
     if len(buf) - pos < need:
         raise NetpbmError(
             f"truncated pixel payload at byte offset {len(buf)}: have "
             f"{len(buf) - pos} of {need} bytes")
     raw = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
-    img = raw.reshape(height, width, 3).transpose(2, 0, 1)
-    return img.astype(np.float32) / 255.0
+    return raw.reshape(height, width, channels).transpose(2, 0, 1)
+
+
+def load_image_ppm(path) -> np.ndarray:
+    """Read a binary P6 image into a float32 [3, H, W] array in [0, 1]."""
+    return _read_payload(path, b"P6", 3).astype(np.float32) / 255.0
 
 
 def save_image_ppm(path, image: np.ndarray) -> None:
@@ -82,17 +86,7 @@ def load_mask_pgm(path) -> np.ndarray:
 
     Gray levels binarize at 128 (>= 128 is foreground).
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    width, height, pos = _parse_header(buf, b"P5")
-    need = width * height
-    if len(buf) - pos < need:
-        raise NetpbmError(
-            f"truncated pixel payload at byte offset {len(buf)}: have "
-            f"{len(buf) - pos} of {need} bytes")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
-    mask = (raw.reshape(height, width) >= 128).astype(np.float32)
-    return mask[None, :, :]
+    return (_read_payload(path, b"P5", 1) >= 128).astype(np.float32)
 
 
 def save_mask_pgm(path, mask: np.ndarray) -> None:
@@ -104,13 +98,12 @@ def save_mask_pgm(path, mask: np.ndarray) -> None:
         arr = arr[0]
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("mask values must be strictly 0/1")
-    data = (arr.astype(np.uint8) * 255)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write(path, (header, np.ascontiguousarray(data)))
+    # gray levels 0/255: a uint8 0/1 mask would pass through as levels 0/1
+    save_gray_pgm(path, arr.astype(np.uint8) * 255)
 
 
 def save_gray_pgm(path, values: np.ndarray) -> None:
-    """Write a [H, W] float map in [0, 1] as 8-bit P5 (quantized)."""
+    """Write a [H, W] map as 8-bit P5: floats in [0, 1] quantized, uint8 as is."""
     arr = np.asarray(values)
     if arr.ndim == 3 and arr.shape[0] == 1:
         arr = arr[0]

@@ -17,7 +17,7 @@ import yaml
 
 from .data import AugmentConfig
 from .errors import ConfigError, parse, require
-from .model import ModelConfig
+from .model import DOWNSAMPLE_FACTOR, ModelConfig
 from .training import TrainConfig
 
 
@@ -34,8 +34,8 @@ class DataConfig:
         for key in ("n_train", "n_val", "n_test"):
             value = getattr(self, key)
             require(value >= 1, f"data.{key}", "must be >= 1", value)
-        require(self.size > 0 and self.size % 32 == 0, "data.size",
-                "must be a positive multiple of 32", self.size)
+        require(self.size > 0 and self.size % DOWNSAMPLE_FACTOR == 0, "data.size",
+                f"must be a positive multiple of {DOWNSAMPLE_FACTOR}", self.size)
         mix = self.difficulty_mix
         require(len(mix) == 3 and all(m >= 0 for m in mix), "data.difficulty_mix",
                 "must be three non-negative proportions", mix)

@@ -230,6 +230,14 @@ def batch_arrays(samples: Sequence[SegmentationSample]) -> tuple:
     return images.astype(np.float32), masks.astype(np.float32)
 
 
+def _score(probs, masks, dices: list, ious: list):
+    """Append each sample's hard-mask Dice and IoU."""
+    hard = predict_mask(probs)
+    for j in range(len(masks)):
+        dices.append(dice_coef(hard[j], masks[j]))
+        ious.append(iou_metric(hard[j], masks[j]))
+
+
 def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
              batch_size: int = 4) -> dict:
     """Eval-mode loss/Dice/IoU over a sample list (per-sample metric means)."""
@@ -241,10 +249,7 @@ def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
         probs = model(Tensor(images))
         losses.append(float(total_loss(probs, Tensor(masks)).item())
                       * len(chunk))
-        hard = predict_mask(probs)
-        for j in range(len(chunk)):
-            dices.append(dice_coef(hard[j], masks[j]))
-            ious.append(iou_metric(hard[j], masks[j]))
+        _score(probs, masks, dices, ious)
     n = len(samples)
     return {"loss": sum(losses) / n, "dice": float(np.mean(dices)),
             "iou": float(np.mean(ious))}
@@ -267,8 +272,9 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
         log_fn: Optional[Callable[[str], None]] = None) -> FitResult:
     """Run the full training recipe; deterministic given config and seeds.
 
-    Gradients accumulate over ``config.accumulation`` micro-batches and are
-    averaged before clipping and the AdamW step.  Validation runs each epoch
+    Gradients accumulate over ``config.accumulation`` micro-batches (an
+    epoch's last group takes the rest) and are averaged before clipping and
+    the AdamW step; ``max_steps`` ends training after that many steps.  Validation runs each epoch
     with the EMA weights in eval mode; the best-val-Dice checkpoint is kept.
     """
     config.validate()
@@ -294,55 +300,43 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     history = []
     step_losses = []
     best_epoch, best_val_dice = -1, -1.0
-    opt_steps = 0
-    micro_since_step = 0
-    stop = False
 
     try:
         for epoch in range(config.epochs):
             lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
             rng = np.random.default_rng([config.seed, 7919, epoch])
             order = rng.permutation(len(train_samples))
+            starts = range(0, len(order), config.batch_size)
 
             model.train()
             epoch_losses, epoch_dices, epoch_ious = [], [], []
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                batch = [train_samples[i] for i in idx]
-                if config.augment:
-                    batch = [augment(s, aug_cfg, seed=config.seed + 1_000_003 * epoch)
-                             for s in batch]
-                images, masks = batch_arrays(batch)
-                # no name binds the graph, so its tape is freed on exit,
-                # before the optimizer step
-                with Graph():
-                    probs = model(Tensor(images))
-                    loss = total_loss(probs, Tensor(masks))
-                    loss_val = loss.item()
-                    if not math.isfinite(loss_val):
-                        raise NumericalError(
-                            f"non-finite loss {loss_val} at optimizer step "
-                            f"{opt_steps} (lr={lr:.3e})")
-                    backward(loss)
-                step_losses.append(loss_val)
-                epoch_losses.append(loss_val * len(batch))
-                hard = predict_mask(probs)
-                for j in range(len(batch)):
-                    epoch_dices.append(dice_coef(hard[j], masks[j]))
-                    epoch_ious.append(iou_metric(hard[j], masks[j]))
-
-                micro_since_step += 1
-                if micro_since_step == config.accumulation:
-                    _apply_step(named, opt, ema, config, lr, micro_since_step)
-                    micro_since_step = 0
-                    opt_steps += 1
-                    if max_steps is not None and opt_steps >= max_steps:
-                        stop = True
-                        break
-            if micro_since_step:
-                _apply_step(named, opt, ema, config, lr, micro_since_step)
-                micro_since_step = 0
-                opt_steps += 1
+            for first in range(0, len(starts), config.accumulation):
+                group = starts[first:first + config.accumulation]
+                for start in group:
+                    idx = order[start:start + config.batch_size]
+                    batch = [train_samples[i] for i in idx]
+                    if config.augment:
+                        batch = [augment(s, aug_cfg,
+                                         seed=config.seed + 1_000_003 * epoch)
+                                 for s in batch]
+                    images, masks = batch_arrays(batch)
+                    # no name binds the graph, so its tape is freed on exit,
+                    # before the optimizer step
+                    with Graph():
+                        probs = model(Tensor(images))
+                        loss = total_loss(probs, Tensor(masks))
+                        loss_val = loss.item()
+                        if not math.isfinite(loss_val):
+                            raise NumericalError(
+                                f"non-finite loss {loss_val} at optimizer "
+                                f"step {opt.step_count} (lr={lr:.3e})")
+                        backward(loss)
+                    step_losses.append(loss_val)
+                    epoch_losses.append(loss_val * len(batch))
+                    _score(probs, masks, epoch_dices, epoch_ious)
+                _apply_step(named, opt, ema, config, lr, len(group))
+                if max_steps is not None and opt.step_count >= max_steps:
+                    break
 
             train_row = {
                 "epoch": epoch, "split": "train",
@@ -379,7 +373,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                        f"dice {train_row['dice']:.4f}  "
                        f"val loss {val_row['loss']:.4f} "
                        f"dice {val_row['dice']:.4f}")
-            if stop:
+            if max_steps is not None and opt.step_count >= max_steps:
                 break
     finally:
         if csv_file is not None:
@@ -419,6 +413,8 @@ def _apply_step(named, opt, ema, config, lr, micro_count):
 # ---------------------------------------------------------------------------
 
 _TTA_NAMES = ("identity", "hflip", "vflip", "rot90", "rot180", "rot270")
+# rot90 and rot270 undo each other; every other view undoes itself
+_TTA_INVERSE = {"rot90": "rot270", "rot270": "rot90"}
 
 
 def _tta_apply(arr: np.ndarray, name: str) -> np.ndarray:
@@ -430,12 +426,6 @@ def _tta_apply(arr: np.ndarray, name: str) -> np.ndarray:
         return arr[..., ::-1, :]
     k = {"rot90": 1, "rot180": 2, "rot270": 3}[name]
     return np.rot90(arr, k, axes=(-2, -1))
-
-
-def _tta_invert(arr: np.ndarray, name: str) -> np.ndarray:
-    if name in ("identity", "hflip", "vflip", "rot180"):
-        return _tta_apply(arr, name)
-    return np.rot90(arr, -{"rot90": 1, "rot270": 3}[name], axes=(-2, -1))
 
 
 def tta_predict(net, batch: np.ndarray) -> np.ndarray:
@@ -451,7 +441,8 @@ def tta_predict(net, batch: np.ndarray) -> np.ndarray:
     for name in _TTA_NAMES:
         view = np.ascontiguousarray(_tta_apply(batch, name))
         pred = net(Tensor(view)).data
-        restored = np.ascontiguousarray(_tta_invert(pred, name)).astype(np.float64)
+        restored = _tta_apply(pred, _TTA_INVERSE.get(name, name))
+        restored = np.ascontiguousarray(restored).astype(np.float64)
         acc = restored if acc is None else acc + restored
     return (acc / len(_TTA_NAMES)).astype(np.float32)
 

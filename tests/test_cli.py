@@ -1,9 +1,10 @@
 """The `medlitenet eval` paths that run a model over a dataset directory,
-and synth -> train -> infer -> eval end to end."""
+synth's samples, and synth -> train -> infer -> eval end to end."""
 
 import pytest
 
 from medlitenet import checkpoint, cli, training
+from medlitenet.data import make_split
 from medlitenet.model import MedLiteNet, ModelConfig
 from medlitenet.runconfig import load_run_config
 
@@ -56,6 +57,14 @@ RUN_YAML = """model:
   decoder_widths: [16, 16, 16, 8]
 train: {epochs: 1, batch_size: 2, accumulation: 1, lr0: 2e-3, eps: 1e-8}
 """
+
+
+def test_synth_writes_the_train_split_of_make_split(tmp_path, capsys):
+    assert cli.main(["synth", "--count", "7", "--seed", "5", "--size", "32",
+                     "--out", str(tmp_path)]) == 0
+    printed = [line.split()[2:] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [[f"seed={s.seed}", f"difficulty={s.difficulty}"]
+                       for s in make_split(7, 1, 1, 5)[0]]
 
 
 def test_synth_train_infer_eval_end_to_end(tmp_path, capsys):

@@ -102,6 +102,13 @@ class TestNetpbm:
         save_mask_pgm(path, load_mask_pgm(path))
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, bool])
+    def test_mask_is_written_as_levels_0_and_255(self, tmp_path, dtype):
+        path = tmp_path / "m.pgm"
+        save_mask_pgm(path, np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype))
+        payload = bytes([0, 255, 255, 255, 0, 0])
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + payload
+
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
     def test_file_mode_follows_umask(self, tmp_path, umask):
         path = tmp_path / "m.pgm"

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from medlitenet import estimator
 from medlitenet.data import synth_sample
 from medlitenet.errors import ConfigError
 from medlitenet.estimator import MedLiteNetSegmenter, NotFittedError
@@ -75,6 +76,20 @@ def test_fit_checks_config_types_naming_the_key(data):
         MedLiteNetSegmenter(expansion=2.5).fit(*data)
     with pytest.raises(ConfigError, match=r"train\.epochs must be an integer"):
         MedLiteNetSegmenter(epochs="1").fit(*data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("threshold", 1.5), ("threshold", -0.1), ("threshold", float("nan")),
+    ("val_fraction", -3.0), ("val_fraction", 1.5), ("val_fraction", float("nan")),
+])
+def test_fit_rejects_an_out_of_range_argument_before_training(
+        data, monkeypatch, key, value):
+    def no_training(*args, **kwargs):
+        pytest.fail("fit trained before it checked its arguments")
+
+    monkeypatch.setattr(estimator, "fit", no_training)
+    with pytest.raises(ValueError, match=f"{key} must lie in \\[0, 1\\]"):
+        MedLiteNetSegmenter(epochs=1, **{key: value}).fit(*data)
 
 
 @pytest.mark.parametrize("val_fraction", [0.9, 1.0])

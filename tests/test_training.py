@@ -1,6 +1,7 @@
 """AdamW, the cosine schedule, clipping and EMA against hand values; AdamW's
 guard against non-finite gradients; the lifetime of the tape in ``fit`` and
-in backward; ``fit`` repeating itself bitwise; and fused BatchNorm->SiLU
+in backward; ``fit`` repeating itself bitwise; its accumulation groups and
+``max_steps``; and fused BatchNorm->SiLU
 units leaving training bitwise unchanged; the Dice-weighted ensemble, TTA
 and the shared prediction path."""
 
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medlitenet import blocks
+from medlitenet import blocks, training
 from medlitenet.autodiff import (
     Graph,
     Parameter,
@@ -117,8 +118,7 @@ def test_fused_units_leave_fit_bitwise_unchanged(monkeypatch):
     def two_op_chain(self, x, silu_after=False):
         chained.append(silu_after)
         out = batchnorm2d(x, self.gamma, self.beta, self.stats,
-                          training=self.training, momentum=self.momentum,
-                          eps=self.eps)
+                          training=self.training, momentum=self.momentum)
         return silu(out) if silu_after else out
 
     monkeypatch.setattr(blocks.BatchNorm2d, "__call__",
@@ -227,6 +227,43 @@ def test_two_micro_fits_are_bitwise_equal():
     assert len(first.step_losses) == 4
     assert first.step_losses == second.step_losses
     assert first.history == second.history
+
+
+@pytest.fixture
+def step_spy(monkeypatch):
+    """The micro-batch count of each optimizer step that ``fit`` takes."""
+    counts = []
+    real = training._apply_step
+
+    def spy(named, opt, ema, config, lr, micro_count):
+        counts.append(micro_count)
+        real(named, opt, ema, config, lr, micro_count)
+
+    monkeypatch.setattr(training, "_apply_step", spy)
+    return counts
+
+
+def _fit_three_micro_batches_an_epoch(**kwargs):
+    # 6 samples in batches of 2, accumulated in twos: each epoch takes a
+    # group of two micro-batches, then a tail group of one
+    train = [synth_sample(i, 32) for i in range(6)]
+    val = [synth_sample(100, 32)]
+    config = TrainConfig(batch_size=2, accumulation=2, epochs=3, augment=False)
+    return fit(MedLiteNet(ModelConfig.micro(32), seed=0), train, val, config,
+               **kwargs)
+
+
+def test_fit_averages_a_tail_group_by_its_own_count(step_spy):
+    result = _fit_three_micro_batches_an_epoch()
+    assert step_spy == [2, 1] * 3
+    assert len(result.step_losses) == 9
+
+
+def test_fit_stops_at_max_steps_reached_by_a_tail_group(step_spy):
+    result = _fit_three_micro_batches_an_epoch(max_steps=2)
+    assert step_spy == [2, 1]
+    assert len(result.step_losses) == 3
+    assert [row["epoch"] for row in result.history] == [0, 0]
 
 
 @pytest.mark.parametrize("n_train, n_val", [(0, 1), (1, 0)])
