@@ -256,7 +256,6 @@ class MBConvBlock(Module):
         super().__init__()
         if stride not in (1, 2):
             raise ShapeError(f"MBConv stride must be 1 or 2, got {stride}")
-        self.in_channels = in_channels
         ce = expansion * in_channels
         self.expand = Conv2d(in_channels, ce, 1, rng)
         self.bn1 = BatchNorm2d(ce)
@@ -267,10 +266,6 @@ class MBConvBlock(Module):
         self.use_skip = stride == 1 and in_channels == out_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"MBConv: input has {x.shape[1]} channels, block expects "
-                f"{self.in_channels}")
         h = self.bn1(handover(self.expand(x)), silu=True)
         h = self.bn2(handover(self.depthwise(h)), silu=True)
         h = self.bn3(handover(self.project(h)))  # no activation after projection
@@ -314,15 +309,11 @@ class Tokenizer(Module):
 
     def __init__(self, in_channels, dim, rng):
         super().__init__()
-        self.in_channels = in_channels
         self.dim = dim
         self.proj = Linear(in_channels, dim, rng)
 
     def tokenize(self, fmap: Tensor) -> Tensor:
         n, c, h, w = fmap.shape
-        if c != self.in_channels:
-            raise ShapeError(
-                f"tokenize: {c} channels, projection expects {self.in_channels}")
         seq = reshape(transpose(fmap, (0, 2, 3, 1)), (n, h * w, c))
         return self.proj(seq) + Tensor(sinusoidal_encoding_2d(h, w, self.dim))
 
@@ -394,10 +385,6 @@ class FusionBlock(Module):
     def forward(self, f_conv: Tensor, f_trans: Tensor) -> Tensor:
         if self.align is not None:
             f_conv = self.align(f_conv)
-        if f_conv.shape[2:] != f_trans.shape[2:]:
-            raise ShapeError(
-                f"fusion: spatial sizes differ, {tuple(f_conv.shape[2:])} vs "
-                f"{tuple(f_trans.shape[2:])}")
         gated = relu(self.fuse(concat_channels([f_conv, f_trans])))
         return gated + f_conv + f_trans
 
@@ -442,10 +429,6 @@ class BoundaryAttention(Module):
         return b
 
     def attention_mask(self, fmap: Tensor, response: Tensor) -> Tensor:
-        if fmap.shape[2:] != response.shape[2:]:
-            raise ShapeError(
-                f"attention_mask: spatial sizes differ, "
-                f"{tuple(fmap.shape[2:])} vs {tuple(response.shape[2:])}")
         return sigmoid(self.mask_conv(concat_channels([fmap, response])))
 
     @staticmethod
@@ -523,11 +506,6 @@ class DecoderStage(Module):
         self.scse = SCSEBlock(out_channels, rng, reduction=scse_reduction)
 
     def forward(self, x: Tensor, skip: Tensor) -> Tensor:
-        x = upsample_bilinear(x, 2)
-        if x.shape[2:] != skip.shape[2:]:
-            raise ShapeError(
-                f"decoder: upsampled map {tuple(x.shape[2:])} does not match "
-                f"skip {tuple(skip.shape[2:])}")
-        x = concat_channels([x, skip])
+        x = concat_channels([upsample_bilinear(x, 2), skip])
         x = self.conv2(self.conv1(x))
         return self.scse(x)

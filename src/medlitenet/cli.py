@@ -153,8 +153,9 @@ def _train_val_samples(config):
         if len(samples) < 2:
             raise ConfigError("dataset directory needs at least two samples")
         return samples[:-n_val], samples[-n_val:]
+    # the train and val splits do not depend on the test count
     train_specs, val_specs, _ = make_split(
-        config.data.n_train, config.data.n_val, config.data.n_test,
+        config.data.n_train, config.data.n_val, 1,
         config.data.base_seed, config.data.difficulty_mix)
     return (generate_samples(train_specs, config.data.size),
             generate_samples(val_specs, config.data.size))

@@ -346,6 +346,7 @@ def load_dataset_dir(path) -> list:
     """Read ``<name>.ppm`` + ``<name>_mask.pgm`` pairs from a directory.
 
     A sample's seed is its index in name order, which keys its augmentation.
+    A mask whose size differs from its image's raises ValueError.
     """
     from .netpbm import load_image_ppm, load_mask_pgm
 
@@ -363,7 +364,12 @@ def load_dataset_dir(path) -> list:
     out = []
     for i, p in enumerate(images):
         image = load_image_ppm(p)
-        mask = load_mask_pgm(root / f"{p.stem}_mask.pgm")
+        mask_path = root / f"{p.stem}_mask.pgm"
+        mask = load_mask_pgm(mask_path)
+        if mask.shape[1:] != image.shape[1:]:
+            raise ValueError(
+                f"mask {mask_path} is {mask.shape[1]}x{mask.shape[2]}, but its "
+                f"image {p.name} is {image.shape[1]}x{image.shape[2]}")
         out.append((p.stem, SegmentationSample(image=image, mask=mask,
                                                seed=i, difficulty=REGULAR)))
     return out

@@ -46,12 +46,18 @@ def _checked(dotted: str, value, default):
     return value
 
 
+# dotted keys that nothing reads any more; ``parse`` skips them, so configs
+# written while they existed (every config_resolved.yaml) still load
+RETIRED = frozenset({"data.n_test", "paths.checkpoint"})
+
+
 def parse(cls, raw, section: str = None):
     """Build the config dataclass ``cls`` from the mapping ``raw``.
 
     Each key must be a field of ``cls`` with its default's type; a field
     whose ``default_factory`` is a config dataclass is a nested section
-    (null means its defaults).  Errors name the dotted key under ``section``.
+    (null means its defaults), and a ``RETIRED`` key is skipped.  Errors name
+    the dotted key under ``section``.
     """
     if not isinstance(raw, dict):
         where = f"section {section!r}" if section else "top level"
@@ -60,6 +66,8 @@ def parse(cls, raw, section: str = None):
     kwargs = {}
     for key, value in raw.items():
         dotted = f"{section}.{key}" if section else key
+        if dotted in RETIRED:
+            continue
         if key not in defaults:
             raise ConfigError(f"config key {dotted} is not recognized")
         sub = defaults[key].default_factory

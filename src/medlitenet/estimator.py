@@ -67,9 +67,10 @@ class MedLiteNetSegmenter:
     """Binary lesion segmenter with a fit/predict interface.
 
     Parameters mirror the architectural and training knobs; defaults are the
-    desk-scale micro configuration so ``fit`` on a handful of images finishes
-    in seconds-to-minutes on a CPU.  ``eq=False`` keeps identity equality
-    and hashing, as sklearn estimators have.
+    desk-scale micro configuration, except ``decoder_widths`` (16, 16, 8, 8)
+    where ``ModelConfig.micro`` has (16, 16, 16, 8), so ``fit`` on a handful
+    of images finishes in seconds-to-minutes on a CPU.  ``eq=False`` keeps
+    identity equality and hashing, as sklearn estimators have.
     """
 
     stage_widths: tuple = (8, 16, 24, 32)

@@ -25,13 +25,12 @@ from .training import TrainConfig
 class DataConfig:
     n_train: int = 64
     n_val: int = 16
-    n_test: int = 8
     size: int = 64
     base_seed: int = 1000
     difficulty_mix: tuple = (0.6, 0.25, 0.15)
 
     def validate(self):
-        for key in ("n_train", "n_val", "n_test"):
+        for key in ("n_train", "n_val"):
             value = getattr(self, key)
             require(value >= 1, f"data.{key}", "must be >= 1", value)
         require(self.size > 0 and self.size % DOWNSAMPLE_FACTOR == 0, "data.size",
@@ -48,7 +47,6 @@ class DataConfig:
 class PathsConfig:
     out_dir: str = "runs/run"
     dataset_dir: str = None
-    checkpoint: str = None
 
 
 @dataclass

@@ -150,69 +150,57 @@ def clip_grad_norm(params, max_norm: float) -> float:
 
 
 class EmaState:
-    """Exponential moving average of the trainable tensors.
+    """Exponential moving average of every ``model.state_dict()`` tensor.
 
-    The shadow accumulates from zero with ``shadow <- d*shadow + (1-d)*param``;
+    The shadow accumulates from zero with ``shadow <- d*shadow + (1-d)*value``;
     ``averaged()`` divides out the (1 - d^t) startup bias so evaluation
     weights track the parameter trajectory from the very first update instead
     of being dragged toward zero (or toward the random init) by the long
-    0.999 time constant.  BatchNorm running stats are shadowed the same way:
+    0.999 time constant.  BatchNorm running stats are part of the table:
     averaged weights need stats from the same trajectory window, not the
     final model's.
     """
 
-    def __init__(self, named_params: Sequence[tuple], decay: float = 0.999,
-                 named_states: Sequence[tuple] = ()):
+    def __init__(self, model: MedLiteNet, decay: float = 0.999):
+        self.model = model
         self.decay = decay
         self.num_updates = 0
-        self.named_params = list(named_params)
-        self.named_states = list(named_states)
-        self.shadow = {name: np.zeros_like(p.data)
-                       for name, p in self.named_params}
-        self.stat_shadow = {}
-        for name, state in self.named_states:
-            self.stat_shadow[name + ".running_mean"] = np.zeros_like(state.mean)
-            self.stat_shadow[name + ".running_var"] = np.zeros_like(state.var)
+        self.shadow = {name: np.zeros_like(value)
+                       for name, value in model.state_dict().items()}
 
     def update(self):
         self.num_updates += 1
         d = self.decay
-        for name, p in self.named_params:
+        for name, value in self.model.state_dict().items():
             s = self.shadow[name]
             s *= d
-            s += (1.0 - d) * p.data
-        for name, state in self.named_states:
-            for key, live in ((name + ".running_mean", state.mean),
-                              (name + ".running_var", state.var)):
-                s = self.stat_shadow[key]
-                s *= d
-                s += (1.0 - d) * live
+            s += (1.0 - d) * value
 
     def averaged(self) -> dict:
-        """Bias-corrected evaluation weights."""
+        """Bias-corrected evaluation tensors, keyed like ``state_dict()``."""
         if self.num_updates == 0:
-            return {name: p.data.copy() for name, p in self.named_params}
+            return {name: value.copy()
+                    for name, value in self.model.state_dict().items()}
         corr = 1.0 - self.decay ** self.num_updates
         return {name: s / corr for name, s in self.shadow.items()}
 
     def averaged_states(self) -> dict:
-        if self.num_updates == 0:
-            return {}
-        corr = 1.0 - self.decay ** self.num_updates
-        return {key: s / corr for key, s in self.stat_shadow.items()}
+        """The BatchNorm-stat entries of ``averaged()``."""
+        params = {name for name, _ in self.model.named_parameters()}
+        return {name: value for name, value in self.averaged().items()
+                if name not in params}
 
 
 class _SwappedWeights:
-    """Temporarily load other weights and BatchNorm stats (EMA validation);
-    a name missing from both tables keeps the model's own tensor."""
+    """Temporarily load another ``state_dict()`` table (EMA validation)."""
 
-    def __init__(self, model: MedLiteNet, weights: dict, stats: dict = None):
+    def __init__(self, model: MedLiteNet, table: dict):
         self.model = model
-        self.table = {**weights, **(stats or {})}
+        self.table = table
 
     def __enter__(self):
         self.saved = self.model.state_dict()
-        self.model.load_state_dict({**self.saved, **self.table})
+        self.model.load_state_dict(self.table)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -241,6 +229,8 @@ def _score(probs, masks, dices: list, ious: list):
 def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
              batch_size: int = 4) -> dict:
     """Eval-mode loss/Dice/IoU over a sample list (per-sample metric means)."""
+    if not samples:
+        raise ValueError("evaluate needs at least one sample")
     model.eval()
     losses, dices, ious = [], [], []
     for i in range(0, len(samples), batch_size):
@@ -274,10 +264,13 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
 
     Gradients accumulate over ``config.accumulation`` micro-batches (an
     epoch's last group takes the rest) and are averaged before clipping and
-    the AdamW step; ``max_steps`` ends training after that many steps.  Validation runs each epoch
-    with the EMA weights in eval mode; the best-val-Dice checkpoint is kept.
+    the AdamW step; ``max_steps`` (at least 1) ends training after that many
+    steps.  Validation runs each epoch with the EMA weights in eval mode; the
+    best-val-Dice checkpoint is kept.
     """
     config.validate()
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if not train_samples or not val_samples:
         raise ValueError(
             f"fit needs at least one training and one validation sample, got "
@@ -285,8 +278,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     named = list(model.named_parameters())
     opt = AdamW(named, betas=(config.beta1, config.beta2), eps=config.eps,
                 weight_decay=config.weight_decay)
-    ema = EmaState(named, decay=config.ema_decay,
-                   named_states=list(model.named_states()))
+    ema = EmaState(model, decay=config.ema_decay)
     aug_cfg = augment_config or AugmentConfig()
 
     out = Path(out_dir) if out_dir is not None else None
@@ -344,7 +336,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                 "dice": float(np.mean(epoch_dices)),
                 "iou": float(np.mean(epoch_ious)), "lr": lr,
             }
-            with _SwappedWeights(model, ema.averaged(), ema.averaged_states()):
+            with _SwappedWeights(model, ema.averaged()):
                 val_stats = evaluate(model, val_samples, config.batch_size)
                 if val_stats["dice"] > best_val_dice:
                     best_val_dice = val_stats["dice"]
@@ -384,7 +376,7 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
         last_path = out / "last.ckpt"
         ckpt.save_checkpoint(
             model, last_path,
-            ema_shadow={**ema.averaged(), **ema.averaged_states()},
+            ema_shadow=ema.averaged(),
             optimizer_state=opt.state_dict(),
             meta={"epoch": history[-1]["epoch"] if history else -1,
                   "best_val_dice": best_val_dice})

@@ -1,11 +1,13 @@
 """The `medlitenet eval` paths that run a model over a dataset directory,
-synth's samples, and synth -> train -> infer -> eval end to end."""
+synth's samples, synth -> train -> infer -> eval end to end, and a dataset
+whose mask does not fit its image."""
 
 import pytest
 
 from medlitenet import checkpoint, cli, training
-from medlitenet.data import make_split
+from medlitenet.data import make_split, synth_sample
 from medlitenet.model import MedLiteNet, ModelConfig
+from medlitenet.netpbm import save_mask_pgm
 from medlitenet.runconfig import load_run_config
 
 
@@ -111,6 +113,18 @@ def test_synth_train_infer_eval_end_to_end(tmp_path, capsys):
     assert cli.main(["infer", "--ckpt", ckpt, "--input", str(bad),
                      "--out", str(tmp_path / "bad_out")]) == 2
     assert "truncated pixel payload" in capsys.readouterr().err
+
+
+def test_train_on_a_mask_of_another_size_exits_2_naming_it(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["synth", "--count", "3", "--size", "64", "--out",
+                     str(data)]) == 0
+    bad = data / "sample_00001_mask.pgm"
+    save_mask_pgm(bad, synth_sample(1, 32).mask)
+    capsys.readouterr()
+    assert cli.main(["train", "--dataset", str(data), "--out", str(run)]) == 2
+    assert f"error: mask {bad} is 32x32" in capsys.readouterr().err
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
-"""Synthetic generator, netpbm I/O, normalization, augmentation, splits."""
+"""Synthetic generator, netpbm I/O, normalization, augmentation, splits,
+dataset directories."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -277,3 +279,14 @@ class TestDatasetDir:
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset_dir(tmp_path / "nope")
+
+    def test_mask_of_another_size_named(self, tmp_path):
+        for i in range(3):
+            s = synth_sample(i, 64)
+            save_image_ppm(tmp_path / f"s{i}.ppm", s.image)
+            save_mask_pgm(tmp_path / f"s{i}_mask.pgm", s.mask)
+        bad = tmp_path / "s1_mask.pgm"
+        save_mask_pgm(bad, synth_sample(1, 32).mask)
+        with pytest.raises(ValueError, match=re.escape(
+                f"mask {bad} is 32x32, but its image s1.ppm is 64x64")):
+            load_dataset_dir(tmp_path)

@@ -1,15 +1,19 @@
 """YAML run configuration: defaults, unknown keys, typed values with dotted
-paths, YAML 1.2 exponent floats, out-of-range values named by their dotted
-key, and the CLI's exit code for a bad config."""
+paths, YAML 1.2 exponent floats, retired keys that old configs still
+hold, out-of-range values named by their dotted key, and the CLI's exit code
+for a bad config."""
 
 import re
+from dataclasses import fields
 
 import pytest
+import yaml
 
 from medlitenet import cli
-from medlitenet.errors import ConfigError
+from medlitenet.errors import RETIRED, ConfigError
 from medlitenet.model import ModelConfig
 from medlitenet.runconfig import (
+    RunConfig,
     dump_resolved,
     load_run_config,
     run_config_from_dict,
@@ -75,8 +79,43 @@ def test_wrong_typed_value_names_its_dotted_path(tmp_path, case):
 
 def test_numbers_accept_ints_and_optional_paths_accept_null():
     config = run_config_from_dict({"train": {"lr0": 1, "clip_norm": 2},
-                                   "paths": {"checkpoint": None}})
-    assert config.train.lr0 == 1 and config.paths.checkpoint is None
+                                   "paths": {"dataset_dir": None}})
+    assert config.train.lr0 == 1 and config.paths.dataset_dir is None
+
+
+# a config echo as written while data.n_test and paths.checkpoint were fields
+OLD_ECHO = """\
+data:
+  n_test: 8
+  n_train: 12
+  n_val: 4
+paths:
+  checkpoint: null
+  out_dir: runs/old
+train:
+  epochs: 3
+"""
+
+
+def test_retired_keys_still_load_and_are_no_longer_written(tmp_path):
+    path = tmp_path / "old.yaml"
+    path.write_text(OLD_ECHO)
+    without = tmp_path / "new.yaml"
+    without.write_text(OLD_ECHO.replace("  n_test: 8\n", "")
+                       .replace("  checkpoint: null\n", ""))
+    config = load_run_config(path)
+    assert config == load_run_config(without)
+    assert (config.data.n_train, config.paths.out_dir) == (12, "runs/old")
+    dump_resolved(config, tmp_path / "resolved.yaml")
+    echo = yaml.safe_load((tmp_path / "resolved.yaml").read_text())
+    assert "n_test" not in echo["data"] and "checkpoint" not in echo["paths"]
+
+
+def test_no_retired_key_is_a_live_field():
+    sections = {f.name: f.default_factory for f in fields(RunConfig)}
+    for dotted in RETIRED:
+        section, key = dotted.split(".")
+        assert key not in {f.name for f in fields(sections[section])}, dotted
 
 
 @pytest.mark.parametrize("case", ["str_int", "null_int", "str_in_tuple"])
@@ -138,7 +177,6 @@ BAD_VALUES = [
     ("augment", "noise_sigma", "0.2", r"must lie in \[0, 0.05\], got 0.2"),
     ("data", "n_train", "0", "must be >= 1, got 0"),
     ("data", "n_val", "0", "must be >= 1, got 0"),
-    ("data", "n_test", "-2", "must be >= 1, got -2"),
     ("data", "size", "48", "must be a positive multiple of 32, got 48"),
     ("data", "difficulty_mix", "[0.5, 0.5]",
      r"must be three non-negative proportions, got \(0.5, 0.5\)"),

@@ -1,9 +1,9 @@
-"""AdamW, the cosine schedule, clipping and EMA against hand values; AdamW's
-guard against non-finite gradients; the lifetime of the tape in ``fit`` and
-in backward; ``fit`` repeating itself bitwise; its accumulation groups and
-``max_steps``; and fused BatchNorm->SiLU
-units leaving training bitwise unchanged; the Dice-weighted ensemble, TTA
-and the shared prediction path."""
+"""AdamW, the cosine schedule, clipping and EMA against hand values, and the
+EMA's shadow of BatchNorm stats; AdamW's guard against non-finite gradients;
+the lifetime of the tape in ``fit`` and in backward; ``fit`` repeating itself
+bitwise; its accumulation groups, ``max_steps`` and the inputs that ``fit``
+and ``evaluate`` reject; fused BatchNorm->SiLU units leaving training bitwise
+unchanged; the Dice-weighted ensemble, TTA and the shared prediction path."""
 
 import gc
 import tracemalloc
@@ -199,8 +199,9 @@ def test_clip_grad_norm_scale_and_clipped_norm():
 
 
 def test_ema_averaged_divides_out_the_startup_bias():
-    p = Parameter(np.array([2.0, -4.0]))
-    ema = EmaState([("p", p)], decay=0.5)
+    holder = blocks.Module()
+    holder.p = p = Parameter(np.array([2.0, -4.0]))
+    ema = EmaState(holder, decay=0.5)
     assert np.array_equal(ema.averaged()["p"], p.data)   # before any update
     ema.update()
     # shadow (1-d)*p1, corrected by 1-d: exactly p1
@@ -213,6 +214,26 @@ def test_ema_averaged_divides_out_the_startup_bias():
     want = (1 - d) * (d * d * values[0] + d * values[1] + values[2]) / (1 - d ** 3)
     assert np.allclose(ema.averaged()["p"], want, rtol=1e-15, atol=0)
     assert ema.num_updates == 3
+
+
+def test_ema_shadows_the_state_dict_including_batchnorm_stats():
+    unit = blocks.ConvBnSiLU(3, 4, 3, np.random.default_rng(0))
+    ema = EmaState(unit, decay=0.5)
+    assert list(ema.shadow) == list(unit.state_dict())
+    (bn, state), = unit.named_states()
+    means = []
+    for seed in (1, 2):
+        x = np.random.default_rng(seed).standard_normal((2, 3, 8, 8))
+        unit.train()(Tensor(x.astype(np.float32)))
+        means.append(state.mean.copy())
+        ema.update()
+    averaged = ema.averaged()
+    stats = {f"{bn}.running_mean", f"{bn}.running_var"}
+    assert set(ema.averaged_states()) == stats
+    for name, value in ema.averaged_states().items():
+        assert np.array_equal(value, averaged[name])
+    want = 0.5 * (0.5 * means[0] + means[1]) / (1 - 0.5 ** 2)
+    assert np.allclose(averaged[f"{bn}.running_mean"], want, rtol=1e-6, atol=0)
 
 
 def test_two_micro_fits_are_bitwise_equal():
@@ -264,6 +285,18 @@ def test_fit_stops_at_max_steps_reached_by_a_tail_group(step_spy):
     assert step_spy == [2, 1]
     assert len(result.step_losses) == 3
     assert [row["epoch"] for row in result.history] == [0, 0]
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_fit_rejects_max_steps_below_one(step_spy, max_steps):
+    with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}"):
+        _fit_three_micro_batches_an_epoch(max_steps=max_steps)
+    assert step_spy == []
+
+
+def test_evaluate_rejects_an_empty_sample_list():
+    with pytest.raises(ValueError, match="needs at least one sample"):
+        training.evaluate(MedLiteNet(ModelConfig.micro(32), seed=0), [])
 
 
 @pytest.mark.parametrize("n_train, n_val", [(0, 1), (1, 0)])
