@@ -13,9 +13,9 @@ best validation Dice).  Model tensors are stored under their
 BatchNorm running stats; EMA shadows use the same names under ``ema/`` and
 optimizer moments under ``opt/exp_avg/`` and ``opt/exp_avg_sq/``.
 
-Loading checks the header through ``errors.parse``, as a YAML ``model:``
-section, and each tensor table by name and shape; a fault is a
-``CheckpointError``.
+Loading builds the header's config through ``errors.parse``, as a YAML
+``model:`` section, which checks its types and ranges, and checks each tensor
+table by name and shape; a fault is a ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tupl
     """
     payload, tensors = read_checkpoint(path)
     try:
-        config = parse(ModelConfig, payload.get("config"), "model").validate()
+        config = parse(ModelConfig, payload.get("config"), "model")
     except ConfigError as exc:
         raise CheckpointError(f"invalid stored config: {exc}") from exc
     want = (expected_config or config).to_dict()
@@ -241,5 +241,5 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None) -> tupl
         opt_state = {"exp_avg": stored["opt/exp_avg/"],
                      "exp_avg_sq": stored["opt/exp_avg_sq/"], "step": step}
     extras = {"ema_shadow": stored.get("ema/"), "optimizer_state": opt_state,
-              "meta": meta, "config": config}
+              "meta": meta}
     return model, extras

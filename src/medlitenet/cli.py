@@ -9,6 +9,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--scope", choices=("ops", "blocks", "model"),
                    default="ops", help="which suite to run")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the scope's default tolerance")
 
     p = sub.add_parser("params", help="print the parameter budget",
                        formatter_class=fmt)
@@ -131,18 +130,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_train(args):
-    config = load_run_config(args.config)
-    if args.seed is not None:
-        config.train.seed = args.seed
-    if args.epochs is not None:
-        config.train.epochs = args.epochs
-    if args.out is not None:
-        config.paths.out_dir = args.out
-    if args.dataset is not None:
-        config.paths.dataset_dir = args.dataset
-    config.validate()
-    return config
+def _override(section, **flags):
+    """``section`` with each flag that was given in place of its field."""
+    return replace(section, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _train_val_samples(config):
@@ -162,7 +152,10 @@ def _train_val_samples(config):
 
 
 def cmd_train(args) -> int:
-    config = _load_train(args)
+    config = load_run_config(args.config)
+    config = replace(
+        config, train=_override(config.train, seed=args.seed, epochs=args.epochs),
+        paths=_override(config.paths, out_dir=args.out, dataset_dir=args.dataset))
     train_samples, val_samples = _train_val_samples(config)
     out = Path(config.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,8 +274,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    checks = gc.run_scope(args.scope, tol=args.tol)
-    tol = args.tol if args.tol is not None else gc.DEFAULT_TOLS[args.scope]
+    checks = gc.run_scope(args.scope)
     width = max(len(name) for name, _ in checks)
     failures = 0
     for name, report in checks:
@@ -291,7 +283,7 @@ def cmd_gradcheck(args) -> int:
               f"coords={report.checked:<4d} {status}")
         failures += not report.passed
     print(f"{args.scope}: {len(checks) - failures}/{len(checks)} checks passed "
-          f"(tol {tol:g})")
+          f"(tol {gc.DEFAULT_TOLS[args.scope]:g})")
     return 0 if failures == 0 else 1
 
 

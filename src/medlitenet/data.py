@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import require
-from .netpbm import quantize_u8
+from .netpbm import load_image_ppm, load_mask_pgm, quantize_u8
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
@@ -231,7 +231,7 @@ def normalize_imagenet(image: np.ndarray) -> np.ndarray:
 # Augmentation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentConfig:
     """Flip/rotation flags and photometric ranges (all within spec bounds).
 
@@ -247,7 +247,7 @@ class AugmentConfig:
     gamma: tuple = (0.7, 1.5)
     noise_sigma: float = 0.05          # sigma drawn from [0, s]
 
-    def validate(self):
+    def __post_init__(self):
         require(0.0 <= self.brightness <= 0.2, "augment.brightness",
                 "must lie in [0, 0.2]", self.brightness)
         for key, lo, hi in (("contrast", 0.8, 1.2), ("gamma", 0.7, 1.5)):
@@ -257,7 +257,6 @@ class AugmentConfig:
                     value)
         require(0.0 <= self.noise_sigma <= 0.05, "augment.noise_sigma",
                 "must lie in [0, 0.05]", self.noise_sigma)
-        return self
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
@@ -268,7 +267,6 @@ class AugmentConfig:
 def augment(sample: SegmentationSample, config: AugmentConfig,
             seed: int) -> SegmentationSample:
     """Deterministic per-(sample, seed) augmentation."""
-    config.validate()
     rng = np.random.default_rng([int(seed), int(sample.seed)])
     img = sample.image
     mask = sample.mask
@@ -348,8 +346,6 @@ def load_dataset_dir(path) -> list:
     A sample's seed is its index in name order, which keys its augmentation.
     A mask whose size differs from its image's raises ValueError.
     """
-    from .netpbm import load_image_ppm, load_mask_pgm
-
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")

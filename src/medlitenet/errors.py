@@ -1,7 +1,9 @@
 """The configuration error, its range check, and ``parse``, the one parser
 that turns an outside mapping (YAML, a checkpoint header, the estimator's
-arguments) into a config dataclass.  It imports nothing from the package,
-so every config layer and ``checkpoint`` can use it without a cycle.
+arguments) into a config dataclass.  Each config is frozen and runs its range
+checks in ``__post_init__``, so no caller checks one again.  This module
+imports nothing from the package, so every config layer and ``checkpoint``
+can use it without a cycle.
 """
 
 from dataclasses import fields, is_dataclass
@@ -56,8 +58,9 @@ def parse(cls, raw, section: str = None):
 
     Each key must be a field of ``cls`` with its default's type; a field
     whose ``default_factory`` is a config dataclass is a nested section
-    (null means its defaults), and a ``RETIRED`` key is skipped.  Errors name
-    the dotted key under ``section``.
+    (null means its defaults), and a ``RETIRED`` key is skipped.  Building
+    ``cls`` runs its range checks, so the result is a valid config.  Errors
+    name the dotted key under ``section``.
     """
     if not isinstance(raw, dict):
         where = f"section {section!r}" if section else "top level"

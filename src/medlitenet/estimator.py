@@ -116,7 +116,11 @@ class MedLiteNetSegmenter:
 
     # -- estimator API --------------------------------------------------------
     def fit(self, X, y):
-        """Train on images X in [0, 1] ([N, 3, H, W]) and binary masks y."""
+        """Train on images X in [0, 1] ([N, 3, H, W]) and binary masks y.
+
+        Building the model and train configs checks the parameters, so a bad
+        one raises ``ConfigError`` naming its dotted key before any training.
+        """
         for key in ("threshold", "val_fraction"):
             value = getattr(self, key)
             if not 0.0 <= value <= 1.0:     # NaN fails too, as in predict_mask

@@ -142,11 +142,12 @@ def cast_module(module: Module, dtype) -> Module:
 # Scope: ops
 # ---------------------------------------------------------------------------
 
-def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
+def ops_suite() -> list:
     checks = []
 
     def run(name, f, x, **kw):
-        checks.append((name, finite_diff_gradcheck(f, x, tol=tol, **kw)))
+        checks.append((name, finite_diff_gradcheck(
+            f, x, tol=DEFAULT_TOLS["ops"], **kw)))
 
     rng = np.random.default_rng(11)
     a = _rand(rng, (3, 5))
@@ -260,12 +261,13 @@ def ops_suite(tol: float = DEFAULT_TOLS["ops"]) -> list:
 # Scope: blocks
 # ---------------------------------------------------------------------------
 
-def blocks_suite(tol: float = DEFAULT_TOLS["blocks"]) -> list:
+def blocks_suite() -> list:
     checks = []
     rng = np.random.default_rng(23)
 
     def run(name, f, x, **kw):
-        checks.append((name, finite_diff_gradcheck(f, x, tol=tol, **kw)))
+        checks.append((name, finite_diff_gradcheck(
+            f, x, tol=DEFAULT_TOLS["blocks"], **kw)))
 
     def fresh(builder):
         module = builder(np.random.default_rng(5))
@@ -334,7 +336,7 @@ def blocks_suite(tol: float = DEFAULT_TOLS["blocks"]) -> list:
     return checks
 
 
-def model_suite(tol: float = DEFAULT_TOLS["model"], coords: int = 32) -> list:
+def model_suite() -> list:
     """End-to-end loss gradient on the micro config at 32x32, float64."""
     config = ModelConfig.micro(input_size=32)
     model = cast_module(MedLiteNet(config, seed=0), np.float64)
@@ -348,12 +350,12 @@ def model_suite(tol: float = DEFAULT_TOLS["model"], coords: int = 32) -> list:
     def f(t):
         return total_loss(model(t), mask)
 
-    report = finite_diff_gradcheck(f, x, tol=tol, max_coords=coords, seed=7)
+    report = finite_diff_gradcheck(f, x, tol=DEFAULT_TOLS["model"], max_coords=32,
+                                   seed=7)
     return [("model_micro_32x32", report)]
 
 
-def run_scope(scope: str, tol: float = None) -> list:
+def run_scope(scope: str) -> list:
     if scope not in DEFAULT_TOLS:
         raise ValueError(f"unknown gradcheck scope {scope!r}")
-    suite = {"ops": ops_suite, "blocks": blocks_suite, "model": model_suite}[scope]
-    return suite(DEFAULT_TOLS[scope] if tol is None else tol)
+    return {"ops": ops_suite, "blocks": blocks_suite, "model": model_suite}[scope]()

@@ -43,9 +43,9 @@ def _round_width(width: float) -> int:
     return max(8, int(width / 8 + 0.5) * 8)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Every architectural hyper-parameter of the network."""
+    """Every architectural hyper-parameter of the network; checked when built."""
 
     in_channels: int = 3
     input_size: int = 256
@@ -64,12 +64,9 @@ class ModelConfig:
     width_mult: float = 1.0
 
     def __post_init__(self):
-        self.stage_widths = tuple(self.stage_widths)
-        self.blocks_per_stage = tuple(self.blocks_per_stage)
-        self.aspp_rates = tuple(self.aspp_rates)
-        self.decoder_widths = tuple(self.decoder_widths)
-
-    def validate(self):
+        for key in ("stage_widths", "blocks_per_stage", "aspp_rates",
+                    "decoder_widths"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         require(self.in_channels >= 1, "model.in_channels", "must be >= 1",
                 self.in_channels)
         require(self.input_size > 0 and self.input_size % DOWNSAMPLE_FACTOR == 0,
@@ -104,7 +101,6 @@ class ModelConfig:
                 "model.decoder_widths",
                 f"must scale to widths divisible by model.scse_reduction="
                 f"{self.scse_reduction}", scaled)
-        return self
 
     def scaled(self, widths: tuple) -> tuple:
         """``widths`` times ``width_mult``, each rounded to a multiple of 8."""
@@ -143,7 +139,6 @@ class MedLiteNet(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         super().__init__()
-        config.validate()
         self.config = config
         self.seed = seed
         rng = np.random.default_rng(seed)

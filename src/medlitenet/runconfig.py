@@ -1,8 +1,9 @@
 """YAML run configuration: model / train / data / augment / paths sections.
 
 An empty (or absent) file yields the documented defaults; ``errors.parse``
-checks each key's type and rejects unknown keys with their full dotted path;
-CLI flags override individual keys.
+checks each key's type and rejects unknown keys with their full dotted path,
+and each section checks its ranges when it is built.  Every section is a
+frozen dataclass, so CLI flags override keys with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .model import DOWNSAMPLE_FACTOR, ModelConfig
 from .training import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     n_train: int = 64
     n_val: int = 16
@@ -29,7 +30,7 @@ class DataConfig:
     base_seed: int = 1000
     difficulty_mix: tuple = (0.6, 0.25, 0.15)
 
-    def validate(self):
+    def __post_init__(self):
         for key in ("n_train", "n_val"):
             value = getattr(self, key)
             require(value >= 1, f"data.{key}", "must be >= 1", value)
@@ -40,27 +41,21 @@ class DataConfig:
                 "must be three non-negative proportions", mix)
         require(all(math.isfinite(m) for m in mix) and sum(mix) > 0,
                 "data.difficulty_mix", "must be finite with a positive sum", mix)
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathsConfig:
     out_dir: str = "runs/run"
     dataset_dir: str = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
-
-    def validate(self):
-        for section in (self.model, self.train, self.data, self.augment):
-            section.validate()
-        return self
 
     def to_dict(self) -> dict:
         # yaml-friendly: the json round trip turns tuples into lists
@@ -92,11 +87,7 @@ def load_run_config(path=None) -> RunConfig:
         raise
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"config file {path} cannot be loaded: {exc}") from exc
-    return run_config_from_dict({} if raw is None else raw)
-
-
-def run_config_from_dict(raw: dict) -> RunConfig:
-    return parse(RunConfig, raw).validate()
+    return parse(RunConfig, {} if raw is None else raw)
 
 
 def dump_resolved(config: RunConfig, path) -> None:

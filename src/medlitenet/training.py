@@ -27,7 +27,7 @@ class NumericalError(RuntimeError):
     """Non-finite loss or gradient encountered during optimization."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 4                 # desk-scale default; the paper used 16
     epochs: int = 300
@@ -43,7 +43,7 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         for key in ("batch_size", "epochs", "accumulation"):
             value = getattr(self, key)
             require(value >= 1, f"train.{key}", "must be >= 1", value)
@@ -58,7 +58,6 @@ class TrainConfig:
         for key in ("beta1", "beta2", "ema_decay"):
             value = getattr(self, key)
             require(0.0 <= value < 1.0, f"train.{key}", "must lie in [0, 1)", value)
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,6 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     steps.  Validation runs each epoch with the EMA weights in eval mode; the
     best-val-Dice checkpoint is kept.
     """
-    config.validate()
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if not train_samples or not val_samples:

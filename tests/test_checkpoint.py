@@ -1,13 +1,15 @@
 """Checkpoint file modes, the byte layout, memory while saving and loading,
 a whole training state round trip, and loading checkpoints that are
 corrupted, whose header holds a malformed config, seed or meta, or whose
-model, EMA or optimizer tensors are missing, extra or mis-shaped."""
+model, EMA or optimizer tensors are missing, extra or mis-shaped; and a
+built model's config, which cannot change under its weights."""
 
 import json
 import os
 import stat
 import struct
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -387,3 +389,17 @@ def test_expected_config_names_the_differing_keys(tmp_path):
     assert load_checkpoint(path, ModelConfig.micro(64))[0].config == ModelConfig.micro(64)
     with pytest.raises(CheckpointError, match=r"\(differs in: input_size\)$"):
         load_checkpoint(path, ModelConfig.micro(32))
+
+
+def test_a_built_models_config_cannot_drift_from_its_weights(tmp_path):
+    # a config changed after the build would write a header that contradicts
+    # the weights, so the file would no longer load
+    config = ModelConfig.micro(64)
+    net = MedLiteNet(config)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(FrozenInstanceError):
+        config.trans_dim = 64
+        checkpoint.save_checkpoint(net, path)
+    assert not path.exists()
+    checkpoint.save_checkpoint(net, path)
+    assert load_checkpoint(path)[0].config == ModelConfig.micro(64)

@@ -1,12 +1,15 @@
 """The `medlitenet eval` paths that run a model over a dataset directory,
-synth's samples, synth -> train -> infer -> eval end to end, and a dataset
-whose mask does not fit its image."""
+synth's samples, synth -> train -> infer -> eval end to end, train's
+override flags, a dataset whose mask does not fit its image, and the
+gradcheck and params commands."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from medlitenet import checkpoint, cli, training
 from medlitenet.data import make_split, synth_sample
-from medlitenet.model import MedLiteNet, ModelConfig
+from medlitenet.model import PARAM_GROUPS, MedLiteNet, ModelConfig
 from medlitenet.netpbm import save_mask_pgm
 from medlitenet.runconfig import load_run_config
 
@@ -115,6 +118,26 @@ def test_synth_train_infer_eval_end_to_end(tmp_path, capsys):
     assert "truncated pixel payload" in capsys.readouterr().err
 
 
+def test_train_flags_override_their_keys(dataset, tmp_path, monkeypatch):
+    fitted = []
+
+    def fake_fit(model, train, val, config, **kwargs):
+        fitted.append(config)
+        return SimpleNamespace(best_epoch=0, best_val_dice=0.0,
+                               best_checkpoint="b", last_checkpoint="l")
+
+    monkeypatch.setattr(cli, "fit", fake_fit)
+    (tmp_path / "run.yaml").write_text(RUN_YAML)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(tmp_path / "run.yaml"),
+                     "--seed", "7", "--epochs", "2", "--out", str(run),
+                     "--dataset", str(dataset)]) == 0
+    echo = load_run_config(run / "config_resolved.yaml")
+    assert (echo.train.seed, echo.train.epochs) == (7, 2)
+    assert (echo.paths.out_dir, echo.paths.dataset_dir) == (str(run), str(dataset))
+    assert echo.train.lr0 == 2e-3 and fitted == [echo.train]
+
+
 def test_train_on_a_mask_of_another_size_exits_2_naming_it(tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
     assert cli.main(["synth", "--count", "3", "--size", "64", "--out",
@@ -137,3 +160,16 @@ def test_threshold_outside_unit_interval_exits_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "error: argument --threshold: must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_gradcheck_model_scope_passes(capsys):
+    assert cli.main(["gradcheck", "--scope", "model"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "model: 1/1 checks passed (tol 0.002)"
+
+
+def test_params_prints_the_default_budget(capsys):
+    assert cli.main(["params"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == [*PARAM_GROUPS, "total"]
+    assert rows[-1][1] == "3,547,671"

@@ -4,6 +4,7 @@ dataset directories."""
 import os
 import re
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,8 +186,7 @@ class TestAugment:
 
     def test_hflip_involution(self):
         s = synth_sample(5, 64)
-        cfg = AugmentConfig.disabled()
-        cfg.hflip = True
+        cfg = replace(AugmentConfig.disabled(), hflip=True)
         seeds = [seed for seed in range(50)
                  if not np.array_equal(augment(s, cfg, seed).image, s.image)]
         assert seeds, "expected some seeds to flip"
@@ -220,13 +220,13 @@ class TestAugment:
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            AugmentConfig(brightness=0.5).validate()
+            AugmentConfig(brightness=0.5)
         with pytest.raises(ValueError):
-            AugmentConfig(contrast=(0.5, 1.2)).validate()
+            AugmentConfig(contrast=(0.5, 1.2))
         with pytest.raises(ValueError):
-            AugmentConfig(gamma=(0.7, 2.0)).validate()
+            AugmentConfig(gamma=(0.7, 2.0))
         with pytest.raises(ValueError):
-            AugmentConfig(noise_sigma=0.2).validate()
+            AugmentConfig(noise_sigma=0.2)
 
 
 class TestSplits:

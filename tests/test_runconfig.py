@@ -1,23 +1,27 @@
 """YAML run configuration: defaults, unknown keys, typed values with dotted
 paths, YAML 1.2 exponent floats, retired keys that old configs still
-hold, out-of-range values named by their dotted key, and the CLI's exit code
-for a bad config."""
+hold, out-of-range values named by their dotted key, configs that cannot be
+built out of range or changed once built, and the CLI's exit code for a bad
+config or override."""
 
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 import yaml
 
 from medlitenet import cli
-from medlitenet.errors import RETIRED, ConfigError
+from medlitenet.data import AugmentConfig
+from medlitenet.errors import RETIRED, ConfigError, parse
 from medlitenet.model import ModelConfig
 from medlitenet.runconfig import (
+    DataConfig,
+    PathsConfig,
     RunConfig,
     dump_resolved,
     load_run_config,
-    run_config_from_dict,
 )
+from medlitenet.training import TrainConfig
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -25,11 +29,11 @@ def test_empty_file_gives_defaults(tmp_path):
     path.write_text("")
     config = load_run_config(path)
     assert config.model == ModelConfig()
-    assert config.to_dict() == run_config_from_dict({}).to_dict()
+    assert config.to_dict() == parse(RunConfig, {}).to_dict()
 
 
 def test_resolved_echo_loads_back(tmp_path):
-    config = run_config_from_dict({
+    config = parse(RunConfig, {
         "model": {"stage_widths": [8, 16, 24, 32], "width_mult": 1},
         "train": {"epochs": 3, "lr0": 0.002, "augment": False},
         "data": {"size": 32, "difficulty_mix": [1, 0, 0]},
@@ -52,7 +56,7 @@ def test_resolved_echo_loads_back(tmp_path):
         "top_level_list"])
 def test_unknown_keys_and_non_lists(raw, match):
     with pytest.raises(ConfigError, match=match):
-        run_config_from_dict(raw)
+        parse(RunConfig, raw)
 
 
 BAD_TYPES = {
@@ -78,8 +82,8 @@ def test_wrong_typed_value_names_its_dotted_path(tmp_path, case):
 
 
 def test_numbers_accept_ints_and_optional_paths_accept_null():
-    config = run_config_from_dict({"train": {"lr0": 1, "clip_norm": 2},
-                                   "paths": {"dataset_dir": None}})
+    config = parse(RunConfig, {"train": {"lr0": 1, "clip_norm": 2},
+                               "paths": {"dataset_dir": None}})
     assert config.train.lr0 == 1 and config.paths.dataset_dir is None
 
 
@@ -116,6 +120,39 @@ def test_no_retired_key_is_a_live_field():
     for dotted in RETIRED:
         section, key = dotted.split(".")
         assert key not in {f.name for f in fields(sections[section])}, dotted
+
+
+OUT_OF_RANGE = [
+    (TrainConfig, {"epochs": 0}, "train.epochs"),
+    (ModelConfig, {"trans_layers": 0}, "model.trans_layers"),
+    (DataConfig, {"n_train": 0}, "data.n_train"),
+    (AugmentConfig, {"brightness": 0.5}, "augment.brightness"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, key", OUT_OF_RANGE,
+                         ids=[key for _, _, key in OUT_OF_RANGE])
+def test_out_of_range_config_cannot_be_built(cls, kwargs, key):
+    with pytest.raises(ConfigError, match=rf"^config key {re.escape(key)} "):
+        cls(**kwargs)
+
+
+CONFIGS = (RunConfig, ModelConfig, TrainConfig, DataConfig, AugmentConfig,
+           PathsConfig)
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_no_field_of_a_built_config_can_be_assigned(cls):
+    config = cls()
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+def test_every_config_section_is_frozen():
+    sections = {f.default_factory for f in fields(RunConfig)}
+    for cls in {RunConfig, TrainConfig, ModelConfig} | sections:
+        assert cls.__dataclass_params__.frozen, cls.__name__
 
 
 @pytest.mark.parametrize("case", ["str_int", "null_int", "str_in_tuple"])
@@ -208,6 +245,14 @@ def test_cli_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert re.search(rf"error: config key {section}\.{key} {rule}", err), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_out_of_range_override_exits_2_naming_the_key(tmp_path, capsys):
+    code = cli.main(["train", "--epochs", "0", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert re.search(r"error: config key train\.epochs must be >= 1, got 0",
+                     capsys.readouterr().err)
     assert not (tmp_path / "run").exists()
 
 
