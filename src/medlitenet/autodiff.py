@@ -24,6 +24,7 @@ the same element-wise float ops, so the result is bitwise the same.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -1007,28 +1008,23 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # Resampling and pooling
 # ---------------------------------------------------------------------------
 
-_UPSAMPLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _upsample_matrix(size: int, scale: int, dtype) -> np.ndarray:
     """Dense [scale*size, size] bilinear interpolation matrix.
 
-    Half-pixel centers (align_corners=False) with edge clamping.
+    Half-pixel centers (align_corners=False) with edge clamping.  Cached: one
+    forward at one resolution asks for at most ten matrices per dtype.
     """
-    key = (size, scale, np.dtype(dtype).str)
-    mat = _UPSAMPLE_CACHE.get(key)
-    if mat is None:
-        out_size = size * scale
-        mat = np.zeros((out_size, size), dtype=dtype)
-        for j in range(out_size):
-            src = (j + 0.5) / scale - 0.5
-            src = min(max(src, 0.0), size - 1.0)
-            i0 = int(np.floor(src))
-            i1 = min(i0 + 1, size - 1)
-            t = src - i0
-            mat[j, i0] += 1.0 - t
-            mat[j, i1] += t
-        _UPSAMPLE_CACHE[key] = mat
+    out_size = size * scale
+    mat = np.zeros((out_size, size), dtype=dtype)
+    for j in range(out_size):
+        src = (j + 0.5) / scale - 0.5
+        src = min(max(src, 0.0), size - 1.0)
+        i0 = int(np.floor(src))
+        i1 = min(i0 + 1, size - 1)
+        t = src - i0
+        mat[j, i0] += 1.0 - t
+        mat[j, i1] += t
     return mat
 
 

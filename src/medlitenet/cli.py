@@ -313,8 +313,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ConfigError, CheckpointError, NetpbmError, ShapeError,
-            FileNotFoundError, ValueError) as exc:
+    except (ConfigError, CheckpointError, NetpbmError, ShapeError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

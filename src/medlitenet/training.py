@@ -131,7 +131,8 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
 
-    Returns the applied scale (1.0 when no clipping was needed).
+    Returns the applied scale (1.0 when no clipping was needed).  A non-finite
+    norm leaves the gradients as they are, for AdamW to name the bad one.
     """
     total = 0.0
     grads = []
@@ -140,7 +141,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
             grads.append(p.grad)
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = math.sqrt(total)
-    if norm <= max_norm or norm == 0.0:
+    if not math.isfinite(norm) or norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
     for g in grads:
@@ -217,12 +218,24 @@ def batch_arrays(samples: Sequence[SegmentationSample]) -> tuple:
     return images.astype(np.float32), masks.astype(np.float32)
 
 
-def _score(probs, masks, dices: list, ious: list):
-    """Append each sample's hard-mask Dice and IoU."""
-    hard = predict_mask(probs)
-    for j in range(len(masks)):
-        dices.append(dice_coef(hard[j], masks[j]))
-        ious.append(iou_metric(hard[j], masks[j]))
+class _Tally:
+    """Per-sample means of a split: the loss weighted by batch size, and
+    each sample's hard-mask Dice and IoU."""
+
+    def __init__(self):
+        self.loss, self.dices, self.ious = 0.0, [], []
+
+    def add(self, loss: float, probs, masks):
+        self.loss += loss * len(masks)
+        hard = predict_mask(probs)
+        for j in range(len(masks)):
+            self.dices.append(dice_coef(hard[j], masks[j]))
+            self.ious.append(iou_metric(hard[j], masks[j]))
+
+    def row(self) -> dict:
+        return {"loss": self.loss / len(self.dices),
+                "dice": float(np.mean(self.dices)),
+                "iou": float(np.mean(self.ious))}
 
 
 def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
@@ -231,17 +244,17 @@ def evaluate(model: MedLiteNet, samples: Sequence[SegmentationSample],
     if not samples:
         raise ValueError("evaluate needs at least one sample")
     model.eval()
-    losses, dices, ious = [], [], []
+    tally = _Tally()
     for i in range(0, len(samples), batch_size):
-        chunk = samples[i:i + batch_size]
-        images, masks = batch_arrays(chunk)
+        images, masks = batch_arrays(samples[i:i + batch_size])
         probs = model(Tensor(images))
-        losses.append(float(total_loss(probs, Tensor(masks)).item())
-                      * len(chunk))
-        _score(probs, masks, dices, ious)
-    n = len(samples)
-    return {"loss": sum(losses) / n, "dice": float(np.mean(dices)),
-            "iou": float(np.mean(ious))}
+        tally.add(total_loss(probs, Tensor(masks)).item(), probs, masks)
+    return tally.row()
+
+
+def _append_csv(path: Path, rows, mode: str = "a"):
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 @dataclass
@@ -265,7 +278,9 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     epoch's last group takes the rest) and are averaged before clipping and
     the AdamW step; ``max_steps`` (at least 1) ends training after that many
     steps.  Validation runs each epoch with the EMA weights in eval mode; the
-    best-val-Dice checkpoint is kept.
+    best-val-Dice checkpoint is kept.  Each epoch's train and val rows (in
+    ``history`` and ``metrics.csv``) hold per-sample means of loss, Dice and
+    IoU over the samples that ran, also in an epoch that ``max_steps`` cuts.
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -278,111 +293,88 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                 weight_decay=config.weight_decay)
     ema = EmaState(model, decay=config.ema_decay)
     aug_cfg = augment_config or AugmentConfig()
-
     out = Path(out_dir) if out_dir is not None else None
-    csv_file = csv_writer = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        csv_file = open(out / "metrics.csv", "w", newline="")
-        csv_writer = csv.writer(csv_file)
-        csv_writer.writerow(CSV_HEADER)
+        _append_csv(out / "metrics.csv", [CSV_HEADER], mode="w")
 
     history = []
     step_losses = []
     best_epoch, best_val_dice = -1, -1.0
+    for epoch in range(config.epochs):
+        lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
+        rng = np.random.default_rng([config.seed, 7919, epoch])
+        order = rng.permutation(len(train_samples))
+        starts = range(0, len(order), config.batch_size)
 
-    try:
-        for epoch in range(config.epochs):
-            lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
-            rng = np.random.default_rng([config.seed, 7919, epoch])
-            order = rng.permutation(len(train_samples))
-            starts = range(0, len(order), config.batch_size)
-
-            model.train()
-            epoch_losses, epoch_dices, epoch_ious = [], [], []
-            for first in range(0, len(starts), config.accumulation):
-                group = starts[first:first + config.accumulation]
-                for start in group:
-                    idx = order[start:start + config.batch_size]
-                    batch = [train_samples[i] for i in idx]
-                    if config.augment:
-                        batch = [augment(s, aug_cfg,
-                                         seed=config.seed + 1_000_003 * epoch)
-                                 for s in batch]
-                    images, masks = batch_arrays(batch)
-                    # no name binds the graph, so its tape is freed on exit,
-                    # before the optimizer step
-                    with Graph():
-                        probs = model(Tensor(images))
-                        loss = total_loss(probs, Tensor(masks))
-                        loss_val = loss.item()
-                        if not math.isfinite(loss_val):
-                            raise NumericalError(
-                                f"non-finite loss {loss_val} at optimizer "
-                                f"step {opt.step_count} (lr={lr:.3e})")
-                        backward(loss)
-                    step_losses.append(loss_val)
-                    epoch_losses.append(loss_val * len(batch))
-                    _score(probs, masks, epoch_dices, epoch_ious)
-                _apply_step(named, opt, ema, config, lr, len(group))
-                if max_steps is not None and opt.step_count >= max_steps:
-                    break
-
-            train_row = {
-                "epoch": epoch, "split": "train",
-                "loss": sum(epoch_losses) / len(train_samples),
-                "dice": float(np.mean(epoch_dices)),
-                "iou": float(np.mean(epoch_ious)), "lr": lr,
-            }
-            with _SwappedWeights(model, ema.averaged()):
-                val_stats = evaluate(model, val_samples, config.batch_size)
-                if val_stats["dice"] > best_val_dice:
-                    best_val_dice = val_stats["dice"]
-                    best_epoch = epoch
-                    if out is not None:
-                        # the weights that actually scored best: the EMA
-                        # evaluation weights and their stats
-                        ckpt.save_checkpoint(
-                            model, out / "best.ckpt",
-                            meta={"epoch": epoch,
-                                  "best_val_dice": best_val_dice})
-            val_row = {"epoch": epoch, "split": "val", "lr": lr, **val_stats}
-            history.extend([train_row, val_row])
-            for row in (train_row, val_row):
-                if csv_writer is not None:
-                    csv_writer.writerow([row["epoch"], row["split"],
-                                         f"{row['loss']:.6f}",
-                                         f"{row['dice']:.6f}",
-                                         f"{row['iou']:.6f}",
-                                         f"{row['lr']:.8e}"])
-            if csv_file is not None:
-                csv_file.flush()
-            if log_fn is not None:
-                log_fn(f"epoch {epoch:3d}  lr {lr:.2e}  "
-                       f"train loss {train_row['loss']:.4f} "
-                       f"dice {train_row['dice']:.4f}  "
-                       f"val loss {val_row['loss']:.4f} "
-                       f"dice {val_row['dice']:.4f}")
+        model.train()
+        tally = _Tally()
+        for first in range(0, len(starts), config.accumulation):
+            group = starts[first:first + config.accumulation]
+            for start in group:
+                idx = order[start:start + config.batch_size]
+                batch = [train_samples[i] for i in idx]
+                if config.augment:
+                    batch = [augment(s, aug_cfg,
+                                     seed=config.seed + 1_000_003 * epoch)
+                             for s in batch]
+                images, masks = batch_arrays(batch)
+                # no name binds the graph, so its tape is freed on exit,
+                # before the optimizer step
+                with Graph():
+                    probs = model(Tensor(images))
+                    loss = total_loss(probs, Tensor(masks))
+                    loss_val = loss.item()
+                    if not math.isfinite(loss_val):
+                        raise NumericalError(
+                            f"non-finite loss {loss_val} at optimizer "
+                            f"step {opt.step_count} (lr={lr:.3e})")
+                    backward(loss)
+                step_losses.append(loss_val)
+                tally.add(loss_val, probs, masks)
+            _apply_step(named, opt, ema, config, lr, len(group))
             if max_steps is not None and opt.step_count >= max_steps:
                 break
-    finally:
-        if csv_file is not None:
-            csv_file.close()
 
-    last_path = None
+        train_row = {"epoch": epoch, "split": "train", **tally.row(), "lr": lr}
+        with _SwappedWeights(model, ema.averaged()):
+            val_stats = evaluate(model, val_samples, config.batch_size)
+            if val_stats["dice"] > best_val_dice:
+                best_val_dice = val_stats["dice"]
+                best_epoch = epoch
+                if out is not None:
+                    # the weights that actually scored best: the EMA
+                    # evaluation weights and their stats
+                    ckpt.save_checkpoint(
+                        model, out / "best.ckpt",
+                        meta={"epoch": epoch, "best_val_dice": best_val_dice})
+        val_row = {"epoch": epoch, "split": "val", "lr": lr, **val_stats}
+        history.extend([train_row, val_row])
+        if out is not None:
+            _append_csv(out / "metrics.csv", [
+                [row["epoch"], row["split"], f"{row['loss']:.6f}",
+                 f"{row['dice']:.6f}", f"{row['iou']:.6f}", f"{row['lr']:.8e}"]
+                for row in (train_row, val_row)])
+        if log_fn is not None:
+            log_fn(f"epoch {epoch:3d}  lr {lr:.2e}  "
+                   f"train loss {train_row['loss']:.4f} "
+                   f"dice {train_row['dice']:.4f}  "
+                   f"val loss {val_row['loss']:.4f} "
+                   f"dice {val_row['dice']:.4f}")
+        if max_steps is not None and opt.step_count >= max_steps:
+            break
+
     if out is not None:
-        last_path = out / "last.ckpt"
+        # config.epochs >= 1, so ``epoch`` is the last epoch that ran
         ckpt.save_checkpoint(
-            model, last_path,
-            ema_shadow=ema.averaged(),
+            model, out / "last.ckpt", ema_shadow=ema.averaged(),
             optimizer_state=opt.state_dict(),
-            meta={"epoch": history[-1]["epoch"] if history else -1,
-                  "best_val_dice": best_val_dice})
+            meta={"epoch": epoch, "best_val_dice": best_val_dice})
     model.eval()
     return FitResult(history=history, best_epoch=best_epoch,
                      best_val_dice=best_val_dice,
                      best_checkpoint=str(out / "best.ckpt") if out else None,
-                     last_checkpoint=str(last_path) if last_path else None,
+                     last_checkpoint=str(out / "last.ckpt") if out else None,
                      step_losses=step_losses)
 
 

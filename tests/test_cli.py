@@ -1,8 +1,12 @@
 """The `medlitenet eval` paths that run a model over a dataset directory,
 synth's samples, synth -> train -> infer -> eval end to end, train's
-override flags, a dataset whose mask does not fit its image, and the
-gradcheck and params commands."""
+override flags, a dataset whose mask does not fit its image, paths the
+filesystem refuses, the gradcheck and params commands, and every command
+line in README.md parsing with the real parser."""
 
+import re
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -162,6 +166,25 @@ def test_threshold_outside_unit_interval_exits_2(argv, capsys):
     assert "error: argument --threshold: must lie in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["infer-ckpt-dir", "eval-ckpt-dir",
+                                  "train-out-under-file", "synth-out-file"])
+def test_a_path_the_filesystem_refuses_exits_2(case, dataset, tmp_path, capsys):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    argv = {
+        "infer-ckpt-dir": ["infer", "--ckpt", str(tmp_path), "--input",
+                           str(dataset), "--out", str(tmp_path / "out")],
+        "eval-ckpt-dir": ["eval", "--ckpt", str(tmp_path), "--dataset",
+                          str(dataset)],
+        "train-out-under-file": ["train", "--dataset", str(dataset), "--out",
+                                 str(a_file / "x")],
+        "synth-out-file": ["synth", "--out", str(a_file)],
+    }[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_gradcheck_model_scope_passes(capsys):
     assert cli.main(["gradcheck", "--scope", "model"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
@@ -173,3 +196,17 @@ def test_params_prints_the_default_budget(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [row[0] for row in rows] == [*PARAM_GROUPS, "total"]
     assert rows[-1][1] == "3,547,671"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_command_line_parses():
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(),
+                        re.S | re.M)
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("medlitenet ")]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command
+                for line in lines}
+    assert commands == {"synth", "train", "infer", "eval", "gradcheck", "params"}

@@ -1,10 +1,13 @@
 """AdamW, the cosine schedule, clipping and EMA against hand values, and the
-EMA's shadow of BatchNorm stats; AdamW's guard against non-finite gradients;
-the lifetime of the tape in ``fit`` and in backward; ``fit`` repeating itself
-bitwise; its accumulation groups, ``max_steps`` and the inputs that ``fit``
-and ``evaluate`` reject; fused BatchNorm->SiLU units leaving training bitwise
-unchanged; the Dice-weighted ensemble, TTA and the shared prediction path."""
+EMA's shadow of BatchNorm stats; AdamW's guard against non-finite gradients,
+which names the bad parameter through a whole optimizer step; the lifetime
+of the tape in ``fit`` and in backward; ``fit`` repeating itself bitwise; its
+accumulation groups, ``max_steps``, the train row of a cut epoch, the
+``metrics.csv`` it writes and the inputs that ``fit`` and ``evaluate``
+reject; fused BatchNorm->SiLU units leaving training bitwise unchanged; the
+Dice-weighted ensemble, TTA and the shared prediction path."""
 
+import csv
 import gc
 import tracemalloc
 
@@ -56,6 +59,21 @@ def test_adamw_rejects_non_finite_gradient(bad):
     opt.step(0.1)
     assert opt.step_count == 1
     assert (a.data < 1).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_gradient_is_named_through_a_whole_step(bad):
+    net = MedLiteNet(ModelConfig.micro(32), seed=0)
+    named = list(net.named_parameters())
+    for _, p in named:
+        p.grad = np.full_like(p.data, 0.01)   # global norm above clip_norm
+    head_bias = dict(named)["head.bias"]
+    head_bias.grad[0] = bad
+    with pytest.raises(NumericalError, match="parameter 'head.bias'"):
+        training._apply_step(named, AdamW(named), EmaState(net), TrainConfig(),
+                             1e-3, 1)
+    # clipping left every gradient as it was
+    assert all((p.grad == 0.01).all() for name, p in named if name != "head.bias")
 
 
 def test_fit_keeps_no_tape_without_cyclic_collector():
@@ -285,6 +303,35 @@ def test_fit_stops_at_max_steps_reached_by_a_tail_group(step_spy):
     assert step_spy == [2, 1]
     assert len(result.step_losses) == 3
     assert [row["epoch"] for row in result.history] == [0, 0]
+
+
+def test_train_rows_weight_step_losses_by_batch_size_also_in_a_cut_epoch():
+    # 5 samples in batches of 2, 2 and 1, one step each: epoch 0 runs whole,
+    # and max_steps=5 cuts epoch 1 after its two batches of two
+    train = [synth_sample(i, 32) for i in range(5)]
+    config = TrainConfig(batch_size=2, accumulation=1, epochs=2, augment=False)
+    result = fit(MedLiteNet(ModelConfig.micro(32), seed=0), train,
+                 [synth_sample(100, 32)], config, max_steps=5)
+    losses = result.step_losses
+    assert len(losses) == 5
+    first, cut = (row for row in result.history if row["split"] == "train")
+    assert first["loss"] == pytest.approx(
+        (2 * losses[0] + 2 * losses[1] + losses[2]) / 5, rel=1e-12)
+    assert cut["loss"] == pytest.approx((2 * losses[3] + 2 * losses[4]) / 4,
+                                        rel=1e-12)
+
+
+def test_metrics_csv_reads_back_as_the_history(tmp_path):
+    result = _fit_three_micro_batches_an_epoch(out_dir=tmp_path)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header) == training.CSV_HEADER
+    assert len(rows) == len(result.history) == 6
+    for cells, row in zip(rows, result.history):
+        assert int(cells[0]) == row["epoch"] and cells[1] == row["split"]
+        for cell, key in zip(cells[2:5], ("loss", "dice", "iou")):
+            assert float(cell) == pytest.approx(row[key], abs=5e-7)
+        assert float(cells[5]) == pytest.approx(row["lr"], rel=5e-9)
 
 
 @pytest.mark.parametrize("max_steps", [0, -1])
