@@ -19,7 +19,6 @@ from .autodiff import (
     ShapeError,
     Tensor,
     batchnorm2d,
-    broadcast_spatial,
     concat_channels,
     conv2d,
     div,
@@ -216,11 +215,9 @@ class LayerNorm(Module):
 class ConvBnSiLU(Module):
     """Conv (no bias) + BatchNorm + SiLU, the encoder's basic unit."""
 
-    def __init__(self, in_channels, out_channels, kernel, rng, stride=1,
-                 dilation=1, groups=1):
+    def __init__(self, in_channels, out_channels, kernel, rng, stride=1):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, kernel, rng,
-                           stride=stride, dilation=dilation, groups=groups)
+        self.conv = Conv2d(in_channels, out_channels, kernel, rng, stride=stride)
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -377,7 +374,6 @@ class FusionBlock(Module):
 
     def __init__(self, conv_channels, dim, rng):
         super().__init__()
-        self.dim = dim
         self.align = (Conv2d(conv_channels, dim, 1, rng, bias=True)
                       if conv_channels != dim else None)
         self.fuse = Conv2d(2 * dim, dim, 1, rng, bias=True)
@@ -456,20 +452,20 @@ class ASPPModule(Module):
     def __init__(self, in_channels, rng, rates=(1, 4, 8, 12), branch_width=64,
                  out_channels=256):
         super().__init__()
-        self.rates = tuple(rates)
         self.branches = ModuleList([
             Conv2d(in_channels, branch_width, 3, rng, dilation=r, bias=True)
-            for r in self.rates
+            for r in rates
         ])
         self.pool_conv = Conv2d(in_channels, branch_width, 1, rng, bias=True)
-        self.fuse = Conv2d(branch_width * (len(self.rates) + 1), out_channels,
+        self.fuse = Conv2d(branch_width * (len(rates) + 1), out_channels,
                            1, rng, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[2], x.shape[3]
         outs = [silu(branch(x)) for branch in self.branches]
         pooled = silu(self.pool_conv(tmean(x, axis=(2, 3), keepdims=True)))
-        outs.append(broadcast_spatial(pooled, (h, w)))
+        # times ones is exact: the pooled map broadcast over the grid
+        outs.append(mul(pooled, Tensor(np.ones((1, 1, h, w), pooled.dtype))))
         return silu(self.fuse(concat_channels(outs)))
 
 

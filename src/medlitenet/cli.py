@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-dir", default=None, help="directory of reference masks")
     p.add_argument("--ckpt", default=None, help="checkpoint to evaluate")
     p.add_argument("--ensemble", nargs="+", default=None,
-                   help="checkpoints for a performance-weighted ensemble")
+                   help="best.ckpt files for a performance-weighted ensemble")
     p.add_argument("--dataset", default=None,
                    help="dataset directory of ppm/pgm pairs")
     p.add_argument("--tta", action="store_true",
@@ -230,6 +230,13 @@ def _load_ensemble(paths) -> Ensemble:
     models, dices = [], []
     for path in paths:
         model, extras = load_checkpoint(path)
+        if extras["ema_shadow"] is not None:
+            # last.ckpt: live weights that no validation scored, stored with
+            # best.ckpt's best_val_dice
+            raise ConfigError(
+                f"checkpoint {path} is a training state with ema/ tables, as "
+                f"last.ckpt is; no validation scored its weights, so it cannot "
+                f"join an ensemble (use best.ckpt)")
         stored = extras["meta"].get("best_val_dice")
         if type(stored) not in (int, float) or not np.isfinite(stored):
             raise ConfigError(

@@ -49,8 +49,9 @@ def _checked(dotted: str, value, default):
 
 
 # dotted keys that nothing reads any more; ``parse`` skips them, so configs
-# written while they existed (every config_resolved.yaml) still load
-RETIRED = frozenset({"data.n_test", "paths.checkpoint"})
+# written while they existed (every config_resolved.yaml and checkpoint
+# header) still load
+RETIRED = frozenset({"data.n_test", "paths.checkpoint", "model.in_channels"})
 
 
 def parse(cls, raw, section: str = None):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import SegmentationSample
 from .errors import parse
-from .model import DOWNSAMPLE_FACTOR, MedLiteNet, ModelConfig, predict_mask
+from .model import (DOWNSAMPLE_FACTOR, IN_CHANNELS, MedLiteNet, ModelConfig,
+                    predict_mask)
 from .metrics import dice_coef
 from .training import TrainConfig, fit, predict_proba
 
@@ -31,10 +32,10 @@ def validate_image_batch(X) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
-    if arr.ndim != 4 or arr.shape[1] != 3:
+    if arr.ndim != 4 or arr.shape[1] != IN_CHANNELS:
         raise ValueError(
-            f"X must be [N, 3, H, W] (or a single [3, H, W] image), got "
-            f"shape {arr.shape}")
+            f"X must be [N, {IN_CHANNELS}, H, W] (or a single "
+            f"[{IN_CHANNELS}, H, W] image), got shape {arr.shape}")
     if arr.shape[2] % DOWNSAMPLE_FACTOR or arr.shape[3] % DOWNSAMPLE_FACTOR:
         raise ValueError(f"image size {arr.shape[2]}x{arr.shape[3]} must be "
                          f"divisible by {DOWNSAMPLE_FACTOR}")

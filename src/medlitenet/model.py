@@ -36,6 +36,8 @@ from .blocks import (
 from .errors import require
 
 DOWNSAMPLE_FACTOR = 32
+# RGB: netpbm P6 images and the ImageNet normalization have three channels
+IN_CHANNELS = 3
 
 
 def _round_width(width: float) -> int:
@@ -47,7 +49,6 @@ def _round_width(width: float) -> int:
 class ModelConfig:
     """Every architectural hyper-parameter of the network; checked when built."""
 
-    in_channels: int = 3
     input_size: int = 256
     stage_widths: tuple = (32, 64, 128, 256)
     blocks_per_stage: tuple = (2, 2, 2, 2)
@@ -67,8 +68,6 @@ class ModelConfig:
         for key in ("stage_widths", "blocks_per_stage", "aspp_rates",
                     "decoder_widths"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
-        require(self.in_channels >= 1, "model.in_channels", "must be >= 1",
-                self.in_channels)
         require(self.input_size > 0 and self.input_size % DOWNSAMPLE_FACTOR == 0,
                 "model.input_size",
                 f"must be a positive multiple of {DOWNSAMPLE_FACTOR}", self.input_size)
@@ -147,7 +146,7 @@ class MedLiteNet(Module):
         dec_widths = config.scaled(config.decoder_widths)
         dim = config.trans_dim
 
-        self.stem = ConvBnSiLU(config.in_channels, widths[0], 3, rng, stride=2)
+        self.stem = ConvBnSiLU(IN_CHANNELS, widths[0], 3, rng, stride=2)
         stages = []
         prev = widths[0]
         for width, depth in zip(widths, config.blocks_per_stage):
@@ -192,10 +191,9 @@ class MedLiteNet(Module):
         if x.ndim != 4:
             raise ShapeError(f"forward: expected NCHW input, got rank {x.ndim}")
         n, c, h, w = x.shape
-        if c != self.config.in_channels:
+        if c != IN_CHANNELS:
             raise ShapeError(
-                f"forward: input has {c} channels, model expects "
-                f"{self.config.in_channels}")
+                f"forward: input has {c} channels, model expects {IN_CHANNELS}")
         if h % DOWNSAMPLE_FACTOR != 0 or w % DOWNSAMPLE_FACTOR != 0:
             raise ShapeError(
                 f"forward: spatial size {h}x{w} must be divisible by "

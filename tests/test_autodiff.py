@@ -555,6 +555,36 @@ class TestLinearAlgebraOps:
         assert const.shape == (1, 2, 6, 6)
         assert np.allclose(const.data, 2.5)
 
+    # the inputs of every upsample the model runs: the decoder's four and the
+    # head's at default@256 (batch 1) and small@128 (batch 4), then a 1x1
+    # map and a non-square one
+    UPSAMPLE_SHAPES = [(1, 256, 8, 8), (1, 128, 16, 16), (1, 64, 32, 32),
+                       (1, 32, 64, 64), (1, 1, 128, 128),
+                       (4, 64, 4, 4), (4, 64, 8, 8), (4, 32, 16, 16),
+                       (4, 16, 32, 32), (4, 1, 64, 64),
+                       (2, 3, 1, 1), (2, 3, 5, 7)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES,
+                             ids=["x".join(map(str, s)) for s in UPSAMPLE_SHAPES])
+    def test_upsample_equals_per_axis_einsum_bitwise(self, shape, dtype):
+        gen = rng(4)
+        x = Tensor(gen.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
+        g = gen.uniform(-1, 1, (shape[0], shape[1], 2 * shape[2],
+                                2 * shape[3])).astype(dtype)
+        ah = ad._upsample_matrix(shape[2], 2, dtype)
+        aw = ad._upsample_matrix(shape[3], 2, dtype)
+        rows = np.einsum("Yh,nchw->ncYw", ah, x.data, optimize=True)
+        want = np.einsum("Xw,ncYw->ncYX", aw, rows, optimize=True)
+        grows = np.einsum("Xw,ncYX->ncYw", aw, g, optimize=True)
+        want_grad = np.einsum("Yh,ncYw->nchw", ah, grows, optimize=True)
+        with Graph() as graph:
+            out = ad.upsample_bilinear(x, 2)
+            assert [node.op for node in graph.nodes] == ["matmul", "matmul"]
+            backward(ad.tsum(ad.mul(out, Tensor(g))), graph)
+        assert out.dtype == dtype and np.array_equal(out.data, want)
+        assert x.grad.dtype == dtype and np.array_equal(x.grad, want_grad)
+
     def test_spatial_mean_pools_each_channel(self):
         # the pooled branch of ASPP and the channel gate of SCSE
         const = ad.tmean(Tensor(np.full((1, 2, 4, 4), 3.0, np.float32)),

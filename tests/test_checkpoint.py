@@ -280,8 +280,8 @@ BAD_MODEL_SECTIONS = {
                             r"model\.decoder_widths\[3\] must be an integer"),
     "float_aspp_rate": ({"aspp_rates": [1, 2, 3, 4.5]},
                         r"model\.aspp_rates\[3\] must be an integer"),
-    "bool_in_channels": ({"in_channels": True},
-                         r"model\.in_channels must be an integer, got True"),
+    "bool_trans_layers": ({"trans_layers": True},
+                          r"model\.trans_layers must be an integer, got True"),
     "unknown_key": ({"stem_channels": 8},
                     r"config key model\.stem_channels is not recognized"),
     "not_a_mapping": ([8, 16], r"config section 'model' must be a mapping"),
@@ -336,6 +336,32 @@ def test_ensemble_member_without_finite_dice_names_its_path(tmp_path, dataset,
                      str(dataset)]) == 2
     assert (f"checkpoint {path} stores no finite best_val_dice, got {dice!r}"
             in capsys.readouterr().err)
+
+
+def test_ensemble_refuses_a_training_state_naming_its_path(tmp_path, dataset,
+                                                           capsys):
+    # last.ckpt repeats best.ckpt's best_val_dice for live weights that no
+    # validation scored; its ema/ tables tell it apart
+    model = _micro()
+    best, last = tmp_path / "best.ckpt", tmp_path / "last.ckpt"
+    checkpoint.save_checkpoint(model, best, meta={"best_val_dice": 0.6})
+    checkpoint.save_checkpoint(model, last, ema_shadow=model.state_dict(),
+                               meta={"epoch": 5, "best_val_dice": 0.6})
+    assert cli.main(["eval", "--ensemble", str(best), str(last), "--dataset",
+                     str(dataset)]) == 2
+    assert f"checkpoint {last} is a training state" in capsys.readouterr().err
+    assert cli.main(["eval", "--ensemble", str(best), "--dataset",
+                     str(dataset)]) == 0
+
+
+def test_a_header_with_the_retired_in_channels_key_still_loads(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(_micro(), path)
+    _rewrite_header(path, lambda payload: payload["config"].update(in_channels=3))
+    model, _ = load_checkpoint(path, ModelConfig.micro(64))
+    assert model.config == ModelConfig.micro(64)
+    for name, arr in _micro().state_dict().items():
+        assert np.array_equal(model.state_dict()[name], arr), name
 
 
 def _full_state(model):

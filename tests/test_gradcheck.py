@@ -1,5 +1,8 @@
 """The finite-difference gradient suites run as part of the test suite."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,21 @@ def test_injected_error_is_caught():
 
     assert check(lambda t: t).passed
     assert not check(_corrupted_identity).passed
+
+
+def test_ops_suite_records_every_op_autodiff_records(monkeypatch):
+    tree = ast.parse(inspect.getsource(ad))
+    recorded_ops = {node.args[0].value for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_record"}
+    seen = set()
+    real = ad._record
+
+    def record(op, *args):
+        seen.add(op)
+        return real(op, *args)
+
+    monkeypatch.setattr(ad, "_record", record)
+    gradcheck.ops_suite()
+    assert {"matmul", "conv2d", "batchnorm2d"} <= recorded_ops
+    assert recorded_ops - seen == set()

@@ -87,12 +87,16 @@ def test_numbers_accept_ints_and_optional_paths_accept_null():
     assert config.train.lr0 == 1 and config.paths.dataset_dir is None
 
 
-# a config echo as written while data.n_test and paths.checkpoint were fields
+# a config echo as written while data.n_test, paths.checkpoint and
+# model.in_channels were fields
 OLD_ECHO = """\
 data:
   n_test: 8
   n_train: 12
   n_val: 4
+model:
+  in_channels: 3
+  input_size: 64
 paths:
   checkpoint: null
   out_dir: runs/old
@@ -106,13 +110,16 @@ def test_retired_keys_still_load_and_are_no_longer_written(tmp_path):
     path.write_text(OLD_ECHO)
     without = tmp_path / "new.yaml"
     without.write_text(OLD_ECHO.replace("  n_test: 8\n", "")
-                       .replace("  checkpoint: null\n", ""))
+                       .replace("  checkpoint: null\n", "")
+                       .replace("  in_channels: 3\n", ""))
     config = load_run_config(path)
     assert config == load_run_config(without)
-    assert (config.data.n_train, config.paths.out_dir) == (12, "runs/old")
+    assert (config.data.n_train, config.model.input_size,
+            config.paths.out_dir) == (12, 64, "runs/old")
     dump_resolved(config, tmp_path / "resolved.yaml")
     echo = yaml.safe_load((tmp_path / "resolved.yaml").read_text())
     assert "n_test" not in echo["data"] and "checkpoint" not in echo["paths"]
+    assert "in_channels" not in echo["model"]
 
 
 def test_no_retired_key_is_a_live_field():
