@@ -1022,12 +1022,8 @@ def _upsample_matrix(size: int, scale: int, dtype) -> np.ndarray:
 
 
 def upsample_bilinear(x: Tensor, scale: int = 2) -> Tensor:
-    """Bilinear upsampling with half-pixel centers and edge clamping.
-
-    Two matmuls with the cached interpolation matrices, rows then columns:
-    the same products and sums as a per-axis einsum, and two np.matmul calls
-    ran faster than that einsum pair on every decoder and head shape.
-    """
+    """Bilinear upsampling with half-pixel centers and edge clamping: the
+    interpolation matrices times ``x``, rows then columns, as two matmuls."""
     if x.ndim != 4:
         raise ShapeError("upsample_bilinear: input must be 4-D NCHW")
     if scale < 1:
