@@ -1,7 +1,8 @@
 """Dense N-D float tensors with reverse-mode automatic differentiation.
 
 The engine is tape-based: while a :class:`Graph` is active, every operation
-appends a node holding the operands and a backward closure.  ``backward``
+appends a node holding the operands that require gradients and a backward
+closure.  ``backward``
 walks the tape in exact reverse append order and accumulates gradients
 (``+=``) into the ``grad`` buffer of every leaf tensor that requires them.
 A tape is backpropagated once, inside its ``Graph`` block, and is freed as
@@ -20,6 +21,14 @@ may overwrite the conv output it created.  The unit marks that output with
 :func:`handover`, and ``batchnorm2d`` then writes its affine (and SiLU) into
 the conv output's own buffer instead of a fresh one.  Both destinations run
 the same element-wise float ops, so the result is bitwise the same.
+
+Under an active Graph a unit may instead :func:`release` a tensor it created
+once every op that reads it in forward has run.  The tensor drops its array
+but keeps its shape and dtype; the first read of ``data`` (in backward)
+rebuilds the array from the tape with the forward's own float ops, so it is
+bitwise the same, and the tensor keeps it until its node is released.  Only a
+``batchnorm2d``, ``silu`` or bias-free 1x1 ``conv2d`` output can be rebuilt;
+with no active Graph ``release`` does nothing.
 """
 
 from __future__ import annotations
@@ -77,37 +86,61 @@ class ShapeError(ValueError):
 # Tensor and graph plumbing
 # ---------------------------------------------------------------------------
 
+class _Released:
+    """What a released tensor keeps of its array."""
+
+    __slots__ = ("shape", "ndim", "size", "dtype")
+
+    def __init__(self, arr: np.ndarray):
+        self.shape, self.ndim, self.size, self.dtype = (
+            arr.shape, arr.ndim, arr.size, arr.dtype)
+
+
 class Tensor:
     """A dense float array plus optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "creator", "decay_exempt")
+    __slots__ = ("_data", "requires_grad", "grad", "creator", "decay_exempt")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = arr
+        self._data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.creator: Optional[_Node] = None
         self.decay_exempt = False
 
-    # -- basic introspection ------------------------------------------------
+    @property
+    def data(self) -> np.ndarray:
+        """The array; a released tensor rebuilds it here, once."""
+        if type(self._data) is _Released:
+            if self.creator is None:
+                raise AutodiffError("a released tensor was read after its tape "
+                                    "node was freed, so it cannot be rebuilt")
+            self._data = self.creator.rebuild()
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray):
+        self._data = arr
+
+    # -- basic introspection (a released tensor answers without rebuilding) --
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -116,7 +149,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        head = f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}"
+        head = f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}"
         return head + (", requires_grad=True)" if self.requires_grad else ")")
 
     # -- operator sugar -----------------------------------------------------
@@ -147,20 +180,25 @@ class Parameter(Tensor):
 
 
 class _Node:
-    __slots__ = ("op", "parents", "out", "backward_fn", "graph")
+    """One taped op.  ``parents`` holds the inputs that require gradients
+    (None in place of the others); ``rebuild``, if set, recomputes ``out``'s
+    array bitwise from them."""
 
-    def __init__(self, op, parents, out, backward_fn, graph):
+    __slots__ = ("op", "parents", "out", "backward_fn", "graph", "rebuild")
+
+    def __init__(self, op, parents, out, backward_fn, graph, rebuild):
         self.op = op
         self.parents = parents
         self.out = out
         self.backward_fn = backward_fn
         self.graph = graph
+        self.rebuild = rebuild
 
 
 def _release(node: _Node):
     """Drop what a node holds, and the out -> node and node -> graph cycles."""
     node.out.creator = None
-    node.parents = node.out = node.backward_fn = node.graph = None
+    node.parents = node.out = node.backward_fn = node.graph = node.rebuild = None
 
 
 class Graph:
@@ -222,12 +260,30 @@ def handover(t: Tensor) -> Tensor:
     return _Handover(t.data)
 
 
+def release(t: Tensor) -> None:
+    """Drop ``t``'s array until backward reads it, which rebuilds it bitwise.
+
+    Only the unit that created ``t`` may call this, once every forward op
+    that reads ``t`` has run.  With no active Graph it does nothing; under
+    one, a tensor whose op cannot rebuild its output raises AutodiffError.
+    """
+    if _active_graph() is None:
+        return
+    node = t.creator
+    if node is None or node.rebuild is None:
+        what = "a leaf" if node is None else f"a {node.op} output"
+        raise AutodiffError(f"release: the tape cannot rebuild {what}")
+    t.data = _Released(t.data)
+
+
 def _record(op: str, out: Tensor, parents: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
+            backward_fn: Callable[[np.ndarray], tuple],
+            rebuild: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
     graph = _active_graph()
     if graph is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        node = _Node(op, tuple(parents), out, backward_fn, graph)
+        node = _Node(op, tuple(p if p.requires_grad else None for p in parents),
+                     out, backward_fn, graph, rebuild)
         out.creator = node
         graph.nodes.append(node)
     return out
@@ -275,7 +331,7 @@ def backward(loss: Tensor, graph: Optional[Graph] = None):
                 continue
             grads = node.backward_fn(gout)
             for parent, g in zip(node.parents, grads):
-                if g is None or not parent.requires_grad:
+                if g is None or parent is None:
                     continue
                 if parent.creator is not None and parent.creator.graph is graph:
                     prev = pending.get(id(parent))
@@ -305,24 +361,30 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # Elementwise arithmetic
 # ---------------------------------------------------------------------------
 
+# The closures of add, sub, tsum, tmean, reshape and concat_channels keep the
+# shapes their backward reads, not the input tensors: the tape then holds no
+# input that requires no gradient, and reads no released tensor's shape.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def bw(g):
-        ga = _reduce_to_shape(g, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to_shape(g, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        return (None if sa is None else _reduce_to_shape(g, sa),
+                None if sb is None else _reduce_to_shape(g, sb))
 
     return _record("add", out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def bw(g):
-        ga = _reduce_to_shape(g, a.data.shape) if a.requires_grad else None
-        gb = _reduce_to_shape(-g, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        return (None if sa is None else _reduce_to_shape(g, sa),
+                None if sb is None else _reduce_to_shape(-g, sb))
 
     return _record("sub", out, (a, b), bw)
 
@@ -427,7 +489,7 @@ def silu(a: Tensor) -> Tensor:
     def bw(g):
         return (_silu_grad(g, a.data, s),)
 
-    return _record("silu", out, (a,), bw)
+    return _record("silu", out, (a,), bw, lambda: a.data * s)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -459,33 +521,35 @@ def _norm_axes(axis, ndim):
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
+    shape, dtype = a.shape, a.dtype
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axes) if axes else g
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _record("sum", out, (a,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
-    count = int(np.prod([a.data.shape[i] for i in axes])) if axes else 1
+    shape, dtype = a.shape, a.dtype
+    count = int(np.prod([shape[i] for i in axes])) if axes else 1
     out = Tensor(a.data.mean(axis=axes, keepdims=keepdims))
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axes) if axes else g
         # divide before broadcasting: the same quotients, no full-size array
-        return (np.broadcast_to(g / count, a.data.shape).astype(
-            a.data.dtype, copy=False),)
+        return (np.broadcast_to(g / count, shape).astype(dtype, copy=False),)
 
     return _record("mean", out, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record("reshape", out, (a,), lambda g: (g.reshape(a.data.shape),))
+    in_shape = a.shape
+    return _record("reshape", out, (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -508,12 +572,12 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
                 f"concat_channels: input {i} has shape {tuple(t.shape)}, "
                 f"expected N={first.shape[0]} and spatial {tuple(first.shape[2:])}")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
-    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+    splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
+    wanted = [t.requires_grad for t in tensors]
 
     def bw(g):
         pieces = np.split(g, splits, axis=1)
-        return tuple(p if t.requires_grad else None
-                     for p, t in zip(pieces, tensors))
+        return tuple(p if w else None for p, w in zip(pieces, wanted))
 
     return _record("concat_channels", out, tuple(tensors), bw)
 
@@ -607,17 +671,20 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
     Depthwise specs run per channel block as a matrix of the k*k tap
     windows of the input's stride phases times the weights (one batched
     matmul), unpadded stride-1 dense 1x1 specs as one batched matmul, and
-    every other spec as an einsum over the input's sliding windows.
+    every other spec as an einsum over the input's sliding windows.  The
+    tape can rebuild the output of a bias-free 1x1 spec (see :func:`release`).
     """
     _check_conv_args(x, weight, spec, bias)
+    rebuild = None
     if spec.depthwise:
         out_data, conv_bw = _conv_depthwise(x, weight, spec)
     elif spec.kernel == 1 and spec.stride == 1 and spec.padding == 0:
-        out_data, conv_bw = _conv_pointwise(x, weight)
+        out_data, conv_bw, rebuild = _conv_pointwise(x, weight)
     else:
         out_data, conv_bw = _conv_windowed(x, weight, spec)
     if bias is not None:
         out_data += bias.data.reshape(1, spec.out_channels, 1, 1)
+        rebuild = None
     out = Tensor(out_data)
 
     def bw(g):
@@ -627,7 +694,7 @@ def conv2d(x: Tensor, weight: Tensor, spec: Conv2dSpec,
         return gx, gw, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _record("conv2d", out, parents, bw)
+    return _record("conv2d", out, parents, bw, rebuild)
 
 
 def _tap_slice(ki: int, li: int, spec: Conv2dSpec, ho: int, wo: int) -> tuple:
@@ -761,22 +828,26 @@ def _conv_depthwise(x: Tensor, weight: Tensor, spec: Conv2dSpec):
 
 
 def _conv_pointwise(x: Tensor, weight: Tensor):
+    """1x1 conv as one batched matmul; returns the output, its backward and
+    the forward itself, which rebuilds the output bitwise.  Both closures
+    read ``x`` through the tensor, which may be released by then."""
     n, c, h, w = x.shape
     wmat = weight.data[:, :, 0, 0]               # [Cout, C]
-    x3 = x.data.reshape(n, c, h * w)
-    out_data = np.matmul(wmat, x3).reshape(n, -1, h, w)
+
+    def forward():
+        return np.matmul(wmat, x.data.reshape(n, c, h * w)).reshape(n, -1, h, w)
 
     def bw(g):
         g3 = g.reshape(n, -1, h * w)
         gx = gw = None
         if weight.requires_grad:
-            gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(
-                weight.data.shape)
+            x3t = x.data.reshape(n, c, h * w).transpose(0, 2, 1)
+            gw = np.matmul(g3, x3t).sum(axis=0).reshape(weight.shape)
         if x.requires_grad:
-            gx = np.matmul(wmat.T, g3).reshape(x.data.shape)
+            gx = np.matmul(wmat.T, g3).reshape(n, c, h, w)
         return gx, gw
 
-    return out_data, bw
+    return forward(), bw, forward
 
 
 def _conv_windowed(x: Tensor, weight: Tensor, spec: Conv2dSpec):
@@ -881,29 +952,35 @@ class BatchNormState:
 # The variance epsilon of batchnorm2d and blocks.LayerNorm.
 NORM_EPS = 1e-5
 
-# Scratch bytes of one sigmoid chunk in _affine_silu.
+# Scratch bytes of one tanh chunk in _affine_silu.
 _SILU_CHUNK_BYTES = 1 << 18
 
 
 def _affine_silu(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                  silu: bool, out: np.ndarray) -> np.ndarray:
-    """``out = x*scale + shift``, then ``out *= sigmoid(out)`` if ``silu``.
+    """``out = z = x*scale + shift``, or ``z * sigmoid(z)`` if ``silu``.
 
-    ``out`` is C-contiguous with x's shape and may be ``x`` itself.  The
-    sigmoid runs chunk by chunk through one scratch buffer of at most
+    The SiLU is h * (1 + tanh h) with h = x*(scale/2) + shift/2: three ops
+    per chunk.  Halving is exact for normal floats, so h is z/2 and the
+    result is bitwise ``z * _stable_sigmoid(z)``.
+    ``out`` is C-contiguous with x's shape and may be ``x`` itself.  The tanh
+    runs chunk by chunk through one scratch buffer of at most
     ``_SILU_CHUNK_BYTES``; each element sees the float ops it would see on
     the whole array, so neither the destination nor the chunking changes a
     bit of the result.
     """
-    np.multiply(x, scale, out=out)
-    out += shift
+    half = 0.5 if silu else 1.0
+    np.multiply(x, scale * half, out=out)
+    out += shift * half
     if silu:
         flat = out.reshape(-1)
         step = max(1, _SILU_CHUNK_BYTES // out.itemsize)
         scratch = np.empty(min(step, flat.size), out.dtype)
         for i in range(0, flat.size, step):
             chunk = flat[i:i + step]
-            chunk *= _stable_sigmoid(chunk, scratch[:chunk.size])
+            t = np.tanh(chunk, out=scratch[:chunk.size])
+            t += 1.0
+            chunk *= t
     return out
 
 
@@ -921,7 +998,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     and running stats equal the two-op chain bit for bit, while the tape
     holds two fewer full-size arrays and backward one fewer.
 
-    An ``x`` marked by :func:`handover` receives the output in its own buffer.
+    An ``x`` marked by :func:`handover` receives the output in its own
+    buffer.  The tape can rebuild the output (see :func:`release`).
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: input must be 4-D NCHW, got rank {x.ndim}")
@@ -948,8 +1026,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     dtype = np.result_type(x.data, scale)
     into_x = isinstance(x, _Handover) and x.data.dtype == dtype
-    out = Tensor(_affine_silu(x.data, scale, shift, silu,
-                              x.data if into_x else np.empty(x.shape, dtype)))
+
+    def rebuild():
+        return _affine_silu(x.data, scale, shift, silu, np.empty(x.shape, dtype))
+
+    out = Tensor(_affine_silu(x.data, scale, shift, silu, x.data) if into_x
+                 else rebuild())
 
     def bn_bw(g):
         sum_g = g.sum(axis=axes)
@@ -994,7 +1076,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         return bn_bw(gz)
 
     return _record("batchnorm2d", out, (x, gamma, beta),
-                   silu_bn_bw if silu else bn_bw)
+                   silu_bn_bw if silu else bn_bw, rebuild)
 
 
 # ---------------------------------------------------------------------------

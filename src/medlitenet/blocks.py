@@ -26,6 +26,7 @@ from .autodiff import (
     matmul,
     mul,
     pad_edge,
+    release,
     relu,
     reshape,
     sigmoid,
@@ -263,9 +264,19 @@ class MBConvBlock(Module):
         self.use_skip = stride == 1 and in_channels == out_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.bn1(handover(self.expand(x)), silu=True)
-        h = self.bn2(handover(self.depthwise(h)), silu=True)
-        h = self.bn3(handover(self.project(h)))  # no activation after projection
+        # under a Graph the expand map and both SiLU maps (a) leave the tape
+        # once read, and backward rebuilds them: the tape keeps x and the
+        # depthwise and projection outputs.  Reusing the names h and a frees
+        # each untaped map as soon as nothing reads it
+        h = self.expand(x)
+        a = self.bn1(handover(h), silu=True)
+        release(h)
+        h = self.depthwise(a)
+        release(a)
+        a = self.bn2(handover(h), silu=True)
+        h = self.project(a)
+        release(a)
+        h = self.bn3(handover(h))  # no activation after projection
         if self.use_skip:
             h = h + x
         return h

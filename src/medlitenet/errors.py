@@ -50,8 +50,9 @@ def _checked(dotted: str, value, default):
 
 # dotted keys that nothing reads any more; ``parse`` skips them, so configs
 # written while they existed (every config_resolved.yaml and checkpoint
-# header) still load
-RETIRED = frozenset({"data.n_test", "paths.checkpoint", "model.in_channels"})
+# header) still load.  A key mapped to a value is skipped only with that
+# value, the one every build still has; None takes any value
+RETIRED = {"data.n_test": None, "paths.checkpoint": None, "model.in_channels": 3}
 
 
 def parse(cls, raw, section: str = None):
@@ -59,7 +60,8 @@ def parse(cls, raw, section: str = None):
 
     Each key must be a field of ``cls`` with its default's type; a field
     whose ``default_factory`` is a config dataclass is a nested section
-    (null means its defaults), and a ``RETIRED`` key is skipped.  Building
+    (null means its defaults), and a ``RETIRED`` key is skipped, or refused
+    if its value contradicts the one the package still builds.  Building
     ``cls`` runs its range checks, so the result is a valid config.  Errors
     name the dotted key under ``section``.
     """
@@ -71,6 +73,9 @@ def parse(cls, raw, section: str = None):
     for key, value in raw.items():
         dotted = f"{section}.{key}" if section else key
         if dotted in RETIRED:
+            fixed = RETIRED[dotted]
+            require(fixed is None or value == fixed, dotted,
+                    f"is retired and can only be {fixed!r}", value)
             continue
         if key not in defaults:
             raise ConfigError(f"config key {dotted} is not recognized")

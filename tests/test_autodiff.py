@@ -817,3 +817,130 @@ class TestBackward:
         finally:
             gc.enable()
         assert w.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# release: arrays the tape rebuilds in backward
+# ---------------------------------------------------------------------------
+
+def _count_rebuilds(t):
+    """Wrap the rebuild of ``t``'s node; the list grows by one per call."""
+    calls, real = [], t.creator.rebuild
+
+    def rebuild():
+        calls.append(1)
+        return real()
+
+    t.creator.rebuild = rebuild
+    return calls
+
+
+def _params(r, *shapes, dtype=np.float32):
+    return [Tensor(r.uniform(-1, 1, s).astype(dtype), requires_grad=True)
+            for s in shapes]
+
+
+class TestRelease:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_op_silu_is_bitwise_z_times_sigmoid(self, dtype):
+        r = rng(20)
+        x = r.standard_normal((3, 5, 70, 90)).astype(dtype) * 4
+        x[0, 0, 0, :5] = [1e4, -1e4, 0.0, -0.0, 1e-3]
+        scale = r.uniform(0.1, 3, (1, 5, 1, 1)).astype(dtype)
+        shift = r.uniform(-1, 1, (1, 5, 1, 1)).astype(dtype)
+        scale[0, 0, 0, 0], shift[0, 0, 0, 0] = 1.0, 0.0
+        z = x * scale + shift
+        ref = z * ad._stable_sigmoid(z)
+        with np.errstate(all="raise"):
+            out = ad._affine_silu(x, scale, shift, True, np.empty_like(x))
+        assert out.tobytes() == ref.tobytes()
+        assert out[0, 0, 0, 0] == 1e4 and out[0, 0, 0, 1] == 0.0
+        assert out[0, 0, 0, 2] == 0.0
+
+    def test_does_nothing_without_a_graph(self):
+        x = Tensor(rng(21).standard_normal((2, 3, 4, 4)).astype(np.float32))
+        w = Tensor(rng(22).standard_normal((5, 3, 1, 1)).astype(np.float32))
+        y = ad.conv2d(x, w, Conv2dSpec(3, 5, 1))
+        data = y.data
+        ad.release(y)
+        assert y.data is data
+        # not even a tensor the tape could never rebuild raises
+        ad.release(ad.conv2d(y, Tensor(np.ones((5, 1, 3, 3), np.float32)),
+                             Conv2dSpec(5, 5, 3, groups=5)))
+
+    @pytest.mark.parametrize("case", ["depthwise", "bias_1x1", "mul", "leaf"])
+    def test_an_output_the_tape_cannot_rebuild_raises(self, case):
+        r = rng(23)
+        x, w1, wd, b = _params(r, (2, 3, 4, 4), (3, 3, 1, 1), (3, 1, 3, 3), (3,))
+        with Graph():
+            t = {"depthwise": lambda: ad.conv2d(x, wd, Conv2dSpec(3, 3, 3, groups=3)),
+                 "bias_1x1": lambda: ad.conv2d(x, w1, Conv2dSpec(3, 3, 1), b),
+                 "mul": lambda: ad.mul(x, x),
+                 "leaf": lambda: x}[case]()
+            data = t.data
+            with pytest.raises(ad.AutodiffError, match="cannot rebuild"):
+                ad.release(t)
+            assert t.data is data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["conv_1x1", "batchnorm_silu",
+                                      "batchnorm", "silu"])
+    def test_rebuilt_once_bitwise_and_shape_read_without_rebuild(self, kind, dtype):
+        r = rng(24)
+        x, w, gamma, beta = _params(r, (2, 4, 5, 6), (3, 4, 1, 1), (4,), (4,),
+                                    dtype=dtype)
+        op = {"conv_1x1": lambda: ad.conv2d(x, w, Conv2dSpec(4, 3, 1)),
+              "batchnorm_silu": lambda: ad.batchnorm2d(
+                  x, gamma, beta, BatchNormState.initial(4), True, silu=True),
+              "batchnorm": lambda: ad.batchnorm2d(
+                  x, gamma, beta, BatchNormState.initial(4), True),
+              "silu": lambda: ad.silu(x)}[kind]
+        with Graph():
+            t = op()
+            first = t.data.copy()
+            calls = _count_rebuilds(t)
+            ad.release(t)
+            assert (t.shape, t.dtype, t.ndim, t.size) == (
+                first.shape, first.dtype, first.ndim, first.size)
+            assert calls == []
+            assert t.data.tobytes() == first.tobytes()
+            assert t.data.tobytes() == first.tobytes()
+            assert calls == [1]
+
+    def test_a_shape_only_consumer_never_rebuilds(self):
+        r = rng(25)
+        x, w, v = _params(r, (2, 4, 5, 6), (3, 4, 1, 1), (2, 3, 5, 6))
+        with Graph() as g:
+            y = ad.conv2d(x, w, Conv2dSpec(4, 3, 1))
+            s = ad.reshape(ad.concat_channels([ad.sub(ad.add(y, v), v), y]),
+                           (2, 6 * 30))
+            loss = ad.tsum(ad.tmean(s, axis=1))
+            calls = _count_rebuilds(y)
+            ad.release(y)
+            backward(loss, g)
+        # the conv's own backward reads x and w, not y
+        assert calls == []
+        assert np.array_equal(v.grad, np.zeros_like(v.data))
+        assert w.grad is not None
+
+    def test_a_dropped_input_that_needs_no_gradient_is_freed_before_backward(self):
+        x = Tensor(rng(26).standard_normal((2, 3)).astype(np.float32),
+                   requires_grad=True)
+        with Graph() as g:
+            const = Tensor(np.ones((2, 3), np.float32))
+            dead = weakref.ref(const.data)
+            y = ad.add(x, const)
+            del const
+            gc.collect()
+            assert dead() is None
+            backward(ad.tsum(y), g)
+        assert np.array_equal(x.grad, np.ones((2, 3), np.float32))
+
+    def test_a_released_tensor_never_rebuilt_cannot_be_read_after_exit(self):
+        x, w = _params(rng(27), (1, 2, 3, 3), (2, 2, 1, 1))
+        with Graph():
+            y = ad.conv2d(x, w, Conv2dSpec(2, 2, 1))
+            ad.release(y)
+        assert y.shape == (1, 2, 3, 3)
+        with pytest.raises(ad.AutodiffError, match="cannot be rebuilt"):
+            y.data

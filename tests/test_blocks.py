@@ -71,6 +71,55 @@ class TestMBConv:
         assert x.data.tobytes() == before.tobytes()
         assert out.shape == x.shape
 
+    def test_taped_forward_keeps_input_depthwise_and_projection_only(self):
+        # 16 -> 96 -> 16 channels at stride 2 on [4, 16, 64, 64]: the expand
+        # map and the first SiLU map are 6 MiB each, the depthwise and second
+        # SiLU maps 1.5 MiB, the projection and BN3 maps 0.25 MiB; kept
+        # whole, the tape held 15.5 MiB
+        blk = MBConvBlock(16, 16, rng(0), expansion=6, stride=2)
+        x = Tensor(rng(1).standard_normal((4, 16, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        with ad.Graph():
+            blk(x)                               # warm the module's caches
+        tracemalloc.start()
+        try:
+            with ad.Graph() as g:
+                start = tracemalloc.get_traced_memory()[0]
+                out = blk(x)
+                kept = tracemalloc.get_traced_memory()[0] - start
+                ad.backward(ad.tsum(out), g)
+        finally:
+            tracemalloc.stop()
+        assert kept <= 3 << 20
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("stride, cout", [(2, 16), (1, 8)])
+    def test_released_maps_leave_gradients_bitwise(self, stride, cout):
+        blk = MBConvBlock(8, cout, rng(2), expansion=6, stride=stride)
+        x0 = rng(3).standard_normal((2, 8, 16, 16)).astype(np.float32)
+        weights = Tensor(rng(4).uniform(0.5, 1.5, (2, cout, 16 // stride,
+                                                   16 // stride)).astype(np.float32))
+
+        def chain(x):
+            # the same ops as MBConvBlock.forward, with nothing released
+            h = blk.bn1(blk.expand(x), silu=True)
+            h = blk.bn2(blk.depthwise(h), silu=True)
+            h = blk.bn3(blk.project(h))
+            return h + x if blk.use_skip else h
+
+        def grads(forward):
+            for _, p in blk.named_parameters():
+                p.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            with ad.Graph() as g:
+                out = forward(x)
+                ad.backward(ad.tsum(ad.mul(out, weights)), g)
+            return ([out.data.tobytes(), x.grad.tobytes()]
+                    + [p.grad.tobytes() for _, p in blk.named_parameters()])
+
+        assert blk.use_skip == (stride == 1)
+        assert grads(blk) == grads(chain)
+
     def test_pure_skip_when_zeroed(self):
         blk = MBConvBlock(8, 8, rng(0), expansion=6, stride=1)
         for name, p in blk.named_parameters():

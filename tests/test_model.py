@@ -4,7 +4,8 @@ against the taped one, and parameter budget."""
 import numpy as np
 import pytest
 
-from medlitenet.autodiff import Graph, Tensor
+from medlitenet import blocks
+from medlitenet.autodiff import Graph, Tensor, backward, mul, tsum
 from medlitenet.gradcheck import cast_module
 from medlitenet.model import PARAM_GROUPS, MedLiteNet, ModelConfig
 
@@ -73,3 +74,25 @@ def test_untaped_forward_is_bitwise_the_taped_one(config, training, dtype):
     for (name, a), (_, b) in zip(plain_states, taped_states):
         assert a.mean.tobytes() == b.mean.tobytes(), name
         assert a.var.tobytes() == b.var.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_released_mbconv_maps_leave_every_gradient_bitwise(dtype, monkeypatch):
+    # the reference keeps every map on the tape: the same op chain, with
+    # ``release`` doing nothing
+    image = _image(64, 64).astype(dtype)
+    weights = Tensor(np.random.default_rng(5).uniform(
+        0.5, 1.5, (2, 1, 64, 64)).astype(dtype))
+
+    def step():
+        net = cast_module(MedLiteNet(ModelConfig.micro(64), seed=4), dtype)
+        x = Tensor(image, requires_grad=True)
+        with Graph() as g:
+            out = net(x)
+            backward(tsum(mul(out, weights)), g)
+        return ([out.data.tobytes(), x.grad.tobytes()]
+                + [p.grad.tobytes() for _, p in net.named_parameters()])
+
+    released = step()
+    monkeypatch.setattr(blocks, "release", lambda t: None)
+    assert step() == released

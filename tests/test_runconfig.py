@@ -122,6 +122,30 @@ def test_retired_keys_still_load_and_are_no_longer_written(tmp_path):
     assert "in_channels" not in echo["model"]
 
 
+@pytest.mark.parametrize("value", [1, 4, None, "3"])
+def test_a_retired_in_channels_other_than_3_is_refused(value):
+    # the package builds 3-channel models only: a config that asks for any
+    # other count must not load as a 3-channel one
+    with pytest.raises(ConfigError, match=r"model\.in_channels"):
+        parse(RunConfig, {"model": {"in_channels": value}})
+
+
+def test_retired_keys_load_with_the_values_they_may_hold():
+    for raw in ({"model": {"in_channels": 3}}, {"data": {"n_test": 0}},
+                {"data": {"n_test": "any"}}, {"paths": {"checkpoint": "x.ckpt"}},
+                {"paths": {"checkpoint": None}}):
+        assert parse(RunConfig, raw) == RunConfig(), raw
+
+
+def test_a_config_file_with_in_channels_1_exits_train_with_2(tmp_path, capsys):
+    path = tmp_path / "one.yaml"
+    path.write_text(OLD_ECHO.replace("in_channels: 3", "in_channels: 1"))
+    assert cli.main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "model.in_channels" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_no_retired_key_is_a_live_field():
     sections = {f.name: f.default_factory for f in fields(RunConfig)}
     for dotted in RETIRED:
