@@ -48,6 +48,7 @@ from .training import (
     predict_proba,
     tta_predict,
 )
+from .workers import WorkerError
 
 __version__ = "0.1.0"
 
@@ -73,6 +74,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "TrainConfig",
+    "WorkerError",
     "augment",
     "backward",
     "bce_loss",

@@ -645,9 +645,6 @@ class Conv2dSpec:
         return (self.out_channels, self.in_channels // self.groups,
                 self.kernel, self.kernel)
 
-    def weight_count(self) -> int:
-        return int(np.prod(self.weight_shape))
-
     def out_size(self, size: int) -> int:
         eff = self.dilation * (self.kernel - 1) + 1
         out = (size + 2 * self.padding - eff) // self.stride + 1

@@ -1,6 +1,7 @@
 """Command-line interface: synth / train / infer / eval / gradcheck / params.
 
-Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure,
+4 a TTA worker process died.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from .netpbm import (
 )
 from .runconfig import dump_resolved, load_run_config
 from .training import Ensemble, NumericalError, fit, predict_proba
+from .workers import WorkerError
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+WORKER_ERROR = 4
 
 
 def threshold(text: str) -> float:
@@ -320,6 +323,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return WORKER_ERROR
     except (ConfigError, CheckpointError, NetpbmError, ShapeError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,13 +104,6 @@ def _sample_geometry(rng: np.random.Generator, size: int,
     )
 
 
-def accepted_geometry(seed: int, size: int, difficulty: str) -> LesionGeometry:
-    """Replay the geometry phase of the generator, including rejections."""
-    rng = _generator_rng(seed, size, difficulty)
-    geom, _ = _draw_geometry(rng, size, difficulty)
-    return geom
-
-
 def _generator_rng(seed, size, difficulty) -> np.random.Generator:
     if difficulty not in _DIFFICULTY_CODE:
         raise ValueError(f"unknown difficulty {difficulty!r}, "
@@ -257,11 +250,6 @@ class AugmentConfig:
                     value)
         require(0.0 <= self.noise_sigma <= 0.05, "augment.noise_sigma",
                 "must lie in [0, 0.05]", self.noise_sigma)
-
-    @classmethod
-    def disabled(cls) -> "AugmentConfig":
-        return cls(hflip=False, vflip=False, rot90=False, brightness=0.0,
-                   contrast=(1.0, 1.0), gamma=(1.0, 1.0), noise_sigma=0.0)
 
 
 def augment(sample: SegmentationSample, config: AugmentConfig,

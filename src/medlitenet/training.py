@@ -18,7 +18,7 @@ from .errors import require
 from .losses import total_loss
 from .metrics import dice_coef, iou as iou_metric
 from .model import MedLiteNet, predict_mask
-from . import checkpoint as ckpt
+from . import checkpoint as ckpt, workers
 
 CSV_HEADER = ("epoch", "split", "loss", "dice", "iou", "lr")
 
@@ -410,22 +410,32 @@ def _tta_apply(arr: np.ndarray, name: str) -> np.ndarray:
     return np.rot90(arr, k, axes=(-2, -1))
 
 
+def _tta_views(net, batch: np.ndarray, names) -> list:
+    """``net``'s map of each named view of ``batch``, transformed back."""
+    maps = []
+    for name in names:
+        view = np.ascontiguousarray(_tta_apply(batch, name))
+        pred = net(Tensor(view)).data
+        restored = _tta_apply(pred, _TTA_INVERSE.get(name, name))
+        maps.append(np.ascontiguousarray(restored))
+    return maps
+
+
 def tta_predict(net, batch: np.ndarray) -> np.ndarray:
     """Six-fold TTA of an NCHW batch: mean of inverse-transformed predictions.
 
     ``net`` is a model or an ``Ensemble``; it is put in eval mode and called
-    on each transformed view.  Accumulation runs in float64 so the mean of
-    six identical branches reproduces them bitwise after the float32 cast.
+    on each transformed view, the views shared among forked one-thread
+    workers (``workers.map_split``).  Accumulation runs in float64, in view
+    order, so the mean of six identical branches reproduces them bitwise
+    after the float32 cast.
     """
     net.eval()
     batch = np.asarray(batch, dtype=np.float32)
     acc = None
-    for name in _TTA_NAMES:
-        view = np.ascontiguousarray(_tta_apply(batch, name))
-        pred = net(Tensor(view)).data
-        restored = _tta_apply(pred, _TTA_INVERSE.get(name, name))
-        restored = np.ascontiguousarray(restored).astype(np.float64)
-        acc = restored if acc is None else acc + restored
+    for pred in workers.map_split(net, _tta_views, batch, _TTA_NAMES):
+        pred = pred.astype(np.float64)
+        acc = pred if acc is None else acc + pred
     return (acc / len(_TTA_NAMES)).astype(np.float32)
 
 

@@ -92,8 +92,8 @@ class TestConv2d:
     def test_weight_count_decomposition(self):
         dense = Conv2dSpec(16, 16, 3)
         depthwise = Conv2dSpec(16, 16, 3, groups=16)
-        assert dense.weight_count() == 9 * 16 * 16
-        assert depthwise.weight_count() == 9 * 16
+        assert np.prod(dense.weight_shape) == 9 * 16 * 16
+        assert np.prod(depthwise.weight_shape) == 9 * 16
         assert depthwise.depthwise
 
     def test_shape_diagnostics(self):
@@ -467,7 +467,7 @@ def _bn(training, silu=False):
 
 def _conv(spec):
     def op(x):
-        w = np.linspace(-1, 1, spec.weight_count()).reshape(spec.weight_shape)
+        w = np.linspace(-1, 1, np.prod(spec.weight_shape)).reshape(spec.weight_shape)
         bias = np.linspace(-1, 1, spec.out_channels)
         return ad.conv2d(x, Tensor(w.astype(x.dtype), requires_grad=True), spec,
                          Tensor(bias.astype(x.dtype), requires_grad=True))

@@ -9,13 +9,15 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from medlitenet import checkpoint, cli, training
 from medlitenet.data import make_split, synth_sample
 from medlitenet.model import PARAM_GROUPS, MedLiteNet, ModelConfig
-from medlitenet.netpbm import save_mask_pgm
+from medlitenet.netpbm import save_image_ppm, save_mask_pgm
 from medlitenet.runconfig import load_run_config
+from medlitenet.workers import WorkerError
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,22 @@ def test_a_path_the_filesystem_refuses_exits_2(case, dataset, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_dead_tta_worker_exits_4_without_a_traceback(tmp_path, capsys,
+                                                       monkeypatch):
+    def dead(*args):
+        raise WorkerError("TTA worker 123 died with exit status -9")
+
+    monkeypatch.setattr(cli, "predict_proba", dead)
+    image = tmp_path / "a.ppm"
+    save_image_ppm(image, np.zeros((3, 64, 64), np.float32))
+    ckpt = _save_micro(tmp_path / "m.ckpt", seed=0, dice=0.5)
+    code = cli.main(["infer", "--ckpt", ckpt, "--input", str(image),
+                     "--out", str(tmp_path / "out"), "--tta"])
+    assert code == cli.WORKER_ERROR == 4
+    assert capsys.readouterr().err == (
+        "worker failure: TTA worker 123 died with exit status -9\n")
 
 
 def test_gradcheck_model_scope_passes(capsys):

@@ -14,7 +14,6 @@ from medlitenet.data import (
     AREA_FRACTION_RANGE,
     AugmentConfig,
     DIFFICULTIES,
-    accepted_geometry,
     augment,
     corpus_digest,
     load_dataset_dir,
@@ -66,7 +65,9 @@ class TestSynthSample:
         # brute-force per-pixel point-in-region oracle
         seed, size = 5, 64
         sample = synth_sample(seed, size, difficulty)
-        geom = accepted_geometry(seed, size, difficulty)
+        # replay the generator's geometry phase, rejections included
+        geom, _ = dpipe._draw_geometry(
+            dpipe._generator_rng(seed, size, difficulty), size, difficulty)
         oracle = np.zeros((size, size), dtype=np.float32)
         for y in range(size):
             for x in range(size):
@@ -177,16 +178,21 @@ class TestNormalization:
         assert normalize_imagenet(batch).shape == (2, 3, 4, 4)
 
 
+NO_AUGMENT = AugmentConfig(hflip=False, vflip=False, rot90=False,
+                           brightness=0.0, contrast=(1.0, 1.0),
+                           gamma=(1.0, 1.0), noise_sigma=0.0)
+
+
 class TestAugment:
     def test_disabled_is_identity(self):
         s = synth_sample(4, 64)
-        out = augment(s, AugmentConfig.disabled(), seed=9)
+        out = augment(s, NO_AUGMENT, seed=9)
         assert np.array_equal(out.image, s.image)
         assert np.array_equal(out.mask, s.mask)
 
     def test_hflip_involution(self):
         s = synth_sample(5, 64)
-        cfg = replace(AugmentConfig.disabled(), hflip=True)
+        cfg = replace(NO_AUGMENT, hflip=True)
         seeds = [seed for seed in range(50)
                  if not np.array_equal(augment(s, cfg, seed).image, s.image)]
         assert seeds, "expected some seeds to flip"
