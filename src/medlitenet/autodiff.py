@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -940,10 +940,22 @@ class BatchNormState:
 
     mean: np.ndarray
     var: np.ndarray
+    # a list here collects each update's arguments, for a process that
+    # replays them on another copy of the state (training's workers)
+    log: Optional[list] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, channels: int, dtype=np.float32) -> "BatchNormState":
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
+
+    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float):
+        """Fold one batch's biased statistics into the running ones."""
+        if self.log is not None:
+            self.log.append((mean, var, momentum))
+        self.mean = ((1.0 - momentum) * self.mean + momentum * mean).astype(
+            self.mean.dtype, copy=False)
+        self.var = ((1.0 - momentum) * self.var + momentum * var).astype(
+            self.var.dtype, copy=False)
 
 
 # The variance epsilon of batchnorm2d and blocks.LayerNorm.
@@ -1010,10 +1022,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        state.mean = ((1.0 - momentum) * state.mean + momentum * mean).astype(
-            state.mean.dtype, copy=False)
-        state.var = ((1.0 - momentum) * state.var + momentum * var).astype(
-            state.var.dtype, copy=False)
+        state.update(mean, var, momentum)
     else:
         mean = state.mean.astype(x.data.dtype, copy=False)
         var = state.var.astype(x.data.dtype, copy=False)

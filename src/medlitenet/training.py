@@ -276,9 +276,11 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
 
     Gradients accumulate over ``config.accumulation`` micro-batches (an
     epoch's last group takes the rest) and are averaged before clipping and
-    the AdamW step; ``max_steps`` (at least 1) ends training after that many
-    steps.  Validation runs each epoch with the EMA weights in eval mode; the
-    best-val-Dice checkpoint is kept.  Each epoch's train and val rows (in
+    the AdamW step; a group's micro-batches run on the forked workers of
+    ``workers``, one each, with the bits of one process.  ``max_steps`` (at
+    least 1) ends training after that many steps.  Validation runs each
+    epoch with the EMA weights in eval mode; the best-val-Dice checkpoint is
+    kept.  Each epoch's train and val rows (in
     ``history`` and ``metrics.csv``) hold per-sample means of loss, Dice and
     IoU over the samples that ran, also in an epoch that ``max_steps`` cuts.
     """
@@ -310,29 +312,25 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
         model.train()
         tally = _Tally()
         for first in range(0, len(starts), config.accumulation):
-            group = starts[first:first + config.accumulation]
-            for start in group:
+            micro = []
+            for start in starts[first:first + config.accumulation]:
                 idx = order[start:start + config.batch_size]
                 batch = [train_samples[i] for i in idx]
                 if config.augment:
                     batch = [augment(s, aug_cfg,
                                      seed=config.seed + 1_000_003 * epoch)
                              for s in batch]
-                images, masks = batch_arrays(batch)
-                # no name binds the graph, so its tape is freed on exit,
-                # before the optimizer step
-                with Graph():
-                    probs = model(Tensor(images))
-                    loss = total_loss(probs, Tensor(masks))
-                    loss_val = loss.item()
-                    if not math.isfinite(loss_val):
-                        raise NumericalError(
-                            f"non-finite loss {loss_val} at optimizer "
-                            f"step {opt.step_count} (lr={lr:.3e})")
-                    backward(loss)
+                micro.append(batch_arrays(batch))
+            job = f"training, at optimizer step {opt.step_count}"
+            steps = _micro_steps(model, named, micro, job)
+            for (_, masks), (loss_val, probs) in zip(micro, steps):
+                if not math.isfinite(loss_val):
+                    raise NumericalError(
+                        f"non-finite loss {loss_val} at optimizer "
+                        f"step {opt.step_count} (lr={lr:.3e})")
                 step_losses.append(loss_val)
                 tally.add(loss_val, probs, masks)
-            _apply_step(named, opt, ema, config, lr, len(group))
+            _apply_step(named, opt, ema, config, lr, len(micro))
             if max_steps is not None and opt.step_count >= max_steps:
                 break
 
@@ -378,6 +376,55 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                      step_losses=step_losses)
 
 
+def _micro_step(net, images, masks) -> tuple:
+    """Forward, loss and, if the loss is finite, backward of one micro-batch:
+    ``(loss, probs)``; the gradients add into each parameter's ``grad``."""
+    # no name outlives the call, so the tape is freed on return, before the
+    # optimizer step
+    with Graph():
+        probs = net(Tensor(images))
+        loss = total_loss(probs, Tensor(masks))
+        loss_val = loss.item()
+        if math.isfinite(loss_val):
+            backward(loss)
+    return loss_val, probs.data
+
+
+def _worker_step(net, images, masks) -> tuple:
+    """``_micro_step`` on a worker's copy of the model: also each BatchNorm's
+    running-stat updates, for the parent to replay."""
+    net.train()
+    states = [state for _, state in net.named_states()]
+    for state in states:
+        state.log = []
+    return (*_micro_step(net, images, masks), [state.log for state in states])
+
+
+def _micro_steps(model, named, micro, job):
+    """``(loss, probs)`` of each ``(images, masks)`` micro-batch of one
+    accumulation group, in order, with their gradients summed into each
+    parameter's ``grad`` in that order.
+
+    A group of one, or one where no worker pool can run, runs here.
+    Otherwise the model's state goes to the workers' shared memory and each
+    micro-batch runs on a worker, which returns its BatchNorm updates, to be
+    replayed here in order, and leaves 0 + G in its zeroed gradient slot.
+    Every parameter takes one gradient per backward, so (0 + G1) + G2 + ...
+    is the sum a serial backward builds.
+    """
+    pool = workers.acquire(model) if len(micro) > 1 else None
+    if pool is None:
+        for images, masks in micro:
+            yield _micro_step(model, images, masks)
+        return
+    pool.load(model, train=True)
+    for loss_val, probs, logs in pool.each(_worker_step, micro, job, named):
+        for (_, state), log in zip(model.named_states(), logs):
+            for update in log:
+                state.update(*update)
+        yield loss_val, probs
+
+
 def _apply_step(named, opt, ema, config, lr, micro_count):
     if micro_count > 1:
         inv = 1.0 / micro_count
@@ -412,6 +459,7 @@ def _tta_apply(arr: np.ndarray, name: str) -> np.ndarray:
 
 def _tta_views(net, batch: np.ndarray, names) -> list:
     """``net``'s map of each named view of ``batch``, transformed back."""
+    net.eval()                   # a worker's copy may have trained since
     maps = []
     for name in names:
         view = np.ascontiguousarray(_tta_apply(batch, name))

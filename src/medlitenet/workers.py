@@ -1,13 +1,29 @@
-"""Forked worker processes, one BLAS thread each, for the six TTA views.
+"""Forked worker processes, one BLAS thread each, for the six TTA views and
+for the micro-batches of each training step.
 
 On a few CPUs, one OpenBLAS thread does nearly the work of all of them on
-this model's GEMMs, so N one-thread processes that share the views run them
+this model's GEMMs, so N one-thread processes that share the work run it
 about N times as fast, and bitwise the same.  The workers are forked at the
-first call and inherit the predictor; they are forked again only when the
-predictor's content key changes, so a reloaded checkpoint with the same
-bytes reuses them.  ``map_split`` runs in the calling process where no pool
-can: one usable CPU, no ``os.fork``, or no OpenBLAS thread control found.
-One caller at a time: the pool is not shared between threads.
+first call and inherit the net; they are forked again only when the worker
+count or the net's layout changes (its class, its config and each state
+tensor's name, shape and dtype), so a fit, a TTA of its checkpoint and the
+next fit share one pool.
+
+Tensor values reach the workers through shared memory, an anonymous
+``mmap`` made before the fork: two copies of the state and one gradient slot
+per worker, a table shaped like the parameters.  TTA's copy is rewritten
+when the predictor's values differ from those it holds.  Training writes its
+own copy before each step, so a fit leaves TTA's as it was, and each
+worker's backward adds into its zeroed slot.  The parent drops its pages of
+a shared tensor once it has written or read it, so its resident set holds
+its own weights and summed gradients, as without workers; each worker holds
+the shared pages it reads, its own tape and its maps.  Batches, maps, losses
+and BatchNorm statistics travel as pickles over one pipe pair per worker.
+
+Where no pool can run (one usable CPU, no ``os.fork``, or no OpenBLAS
+thread control found) the caller does the work itself: ``map_split`` calls
+``fn`` here and ``acquire`` returns None.  One caller at a time: the pool is
+not shared between threads.
 """
 
 from __future__ import annotations
@@ -15,6 +31,7 @@ from __future__ import annotations
 import atexit
 import ctypes
 import functools
+import mmap
 import os
 import pickle
 import signal
@@ -25,12 +42,14 @@ from pathlib import Path
 import numpy as np
 
 MAX_WORKERS = 6          # one per TTA view
+_ALIGN = 64              # bytes; each shared tensor starts on a cache line
+_DROP_BYTES = 1 << 20    # the parent drops its shared pages in runs this long
 
 _pool = None             # the live _Pool, or None
 
 
 class WorkerError(RuntimeError):
-    """A worker process died before it returned its views."""
+    """A worker process died before it returned its results."""
 
 
 def worker_count() -> int:
@@ -59,19 +78,47 @@ def _openblas():
     return None
 
 
-def _key(net):
-    """What the workers' copy of ``net`` must match: its class and config and
-    each state tensor's name, shape, dtype and CRC-32; an ensemble's member
-    keys and weights; a weak reference for a predictor without state (an
-    ``id`` could be reused by a later object)."""
+def _modules(net) -> list:
+    """The modules whose state the workers read: ``net``, an ensemble's
+    members, or none for a predictor without ``state_dict``."""
     members = getattr(net, "models", None)
     if members is not None:
-        return type(net), tuple(map(_key, members)), np.asarray(net.weights).tobytes()
+        return list(members)
+    return [net] if hasattr(net, "state_dict") else []
+
+
+def _layout(net):
+    """What a forked copy of ``net`` shares with every net it can serve: the
+    class and config and each state tensor's name, shape and dtype; an
+    ensemble's member layouts and weights; a weak reference for a predictor
+    without state (an ``id`` could be reused by a later object)."""
+    members = getattr(net, "models", None)
+    if members is not None:
+        return type(net), tuple(map(_layout, members)), np.asarray(net.weights).tobytes()
     if not hasattr(net, "state_dict"):
         return type(net), weakref.ref(net)
     return type(net), getattr(net, "config", None), tuple(
-        (name, a.shape, a.dtype.str, zlib.crc32(np.ascontiguousarray(a)))
-        for name, a in net.state_dict().items())
+        (name, a.shape, a.dtype.str) for name, a in net.state_dict().items())
+
+
+def _content(net) -> tuple:
+    """The CRC-32 of each state tensor of ``net``."""
+    return tuple(zlib.crc32(np.ascontiguousarray(a))
+                 for module in _modules(net) for a in module.state_dict().values())
+
+
+def _padded(a: np.ndarray) -> int:
+    return -(-a.nbytes // _ALIGN) * _ALIGN
+
+
+def _carve(memory, offset: int, table: dict) -> tuple:
+    """Views of ``memory`` shaped like ``table``'s arrays, from ``offset`` on;
+    returns them by name and the offset after them."""
+    views = {}
+    for name, a in table.items():
+        views[name] = np.frombuffer(memory, a.dtype, a.size, offset).reshape(a.shape)
+        offset += _padded(a)
+    return views, offset
 
 
 def _send(file, obj):
@@ -79,14 +126,28 @@ def _send(file, obj):
     file.flush()
 
 
-def _serve(requests, replies, net):
-    """A worker's loop: ``(ok, fn(net, *args))`` per request until EOF."""
+def _serve(requests, replies, net, state, grads):
+    """A worker's loop until EOF, per request ``(fn, train, args)``: bind
+    ``net`` to the shared copy ``state[train]`` unless it is bound to it
+    already; for a ``train`` job, point each parameter's gradient at this
+    worker's zeroed slot ``grads``; reply ``(ok, fn(net, *args))``."""
+    bound = None
     while True:
         try:
-            fn, args = pickle.load(requests)
+            fn, train, args = pickle.load(requests)
         except EOFError:
             return
         try:
+            if train != bound:
+                # values change in place; a bound copy needs binding again
+                # only after the other copy was used
+                for module, views in zip(_modules(net), state[train]):
+                    module.load_state_dict(views)
+                bound = train
+            if train:
+                for name, p in net.named_parameters():
+                    p.grad = grads[name]
+                    p.grad.fill(0)
             reply = True, fn(net, *args)
         except Exception as exc:
             try:
@@ -98,17 +159,39 @@ def _serve(requests, replies, net):
 
 
 class _Pool:
-    def __init__(self, key, net, count: int, set_threads):
-        self.key = key
-        self.workers = []          # (pid, request file, reply file)
+    def __init__(self, layout, net, count: int, blas):
+        self.layout = layout
+        self.set_threads, self.shutdown = blas
+        self.workers = []              # (pid, request file, reply file)
+        tables = [module.state_dict() for module in _modules(net)]
+        params = ({name: p.data for name, p in net.named_parameters()}
+                  if hasattr(net, "named_parameters") else {})
+        size = (2 * sum(map(_padded, (a for t in tables for a in t.values())))
+                + count * sum(map(_padded, params.values())))
+        self.memory = mmap.mmap(-1, max(size, 1))
+        self.base = np.frombuffer(self.memory, np.uint8).ctypes.data
+        # two copies of the state, by ``train``: the one TTA reads, which a
+        # fit leaves as it was, and the one training writes each step
+        offset = 0
+        self.state = ([], [])
+        for copy in self.state:
+            for table in tables:
+                views, offset = _carve(self.memory, offset, table)
+                copy.append(views)
+        self.grads = []
+        for _ in range(count):
+            views, offset = _carve(self.memory, offset, params)
+            self.grads.append(views)
+        self.content = None      # of TTA's copy, written at the first TTA
         try:
             for _ in range(count):
-                self._fork(net, set_threads)
+                self._fork(net)
         except BaseException:
             self.close(kill=True)
             raise
 
-    def _fork(self, net, set_threads):
+    def _fork(self, net):
+        grads = self.grads[len(self.workers)]
         down, up = os.pipe(), os.pipe()          # (read fd, write fd) each
         try:
             pid = os.fork()
@@ -125,8 +208,9 @@ class _Pool:
                 os.close(down[1])
                 os.close(up[0])
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                set_threads(1)
-                _serve(os.fdopen(down[0], "rb"), os.fdopen(up[1], "wb"), net)
+                self.set_threads(1)
+                _serve(os.fdopen(down[0], "rb"), os.fdopen(up[1], "wb"), net,
+                       self.state, grads)
             finally:
                 os._exit(0)
         os.close(down[0])
@@ -156,65 +240,126 @@ class _Pool:
                 pass
         return status
 
-    def _died(self, pid: int) -> WorkerError:
+    def _visit(self, views: dict):
+        """``views.values()``, each once, while this process drops its pages
+        of those already visited, every _DROP_BYTES and at the end: the
+        values stay, also for the workers, but leave its resident set."""
+        start = None
+        for view in views.values():
+            offset = view.ctypes.data - self.base
+            if start is None:
+                start = offset - offset % mmap.PAGESIZE
+            yield view
+            end = offset + view.nbytes
+            if end - start >= _DROP_BYTES:
+                self.memory.madvise(mmap.MADV_DONTNEED, start, end - start)
+                start = None
+        if start is not None:
+            self.memory.madvise(mmap.MADV_DONTNEED, start, end - start)
+
+    def load(self, net, train: bool = False):
+        """Copy ``net``'s state into the shared copy ``state[train]``."""
+        for module, views in zip(_modules(net), self.state[train]):
+            for a, view in zip(module.state_dict().values(), self._visit(views)):
+                view[...] = a
+
+    def _died(self, pid: int, job: str) -> WorkerError:
         # a worker that has exited keeps its own status: SIGKILL cannot change it
         status = self.close(kill=True).get(pid)
-        return WorkerError(f"TTA worker {pid} died with exit status {status}")
+        return WorkerError(f"worker {pid} died with exit status {status} during {job}")
 
-    def run(self, fn, batch, chunks) -> tuple:
-        """(the workers' lists joined in order, the first worker exception)."""
-        for (pid, requests, _), chunk in zip(self.workers, chunks):
+    def _run(self, fn, chunks, job: str, train: bool) -> tuple:
+        """(each worker's result, the first worker exception) for
+        ``fn(net, *args)`` on worker k with the k-th ``args`` of ``chunks``."""
+        # idle BLAS threads of this process would spin on a core a worker
+        # needs, and a fork copies none of them
+        self.shutdown()
+        busy = self.workers[:len(chunks)]
+        for (pid, requests, _), args in zip(busy, chunks):
             try:
-                _send(requests, (fn, (batch, chunk)))
+                _send(requests, (fn, train, args))
             except OSError:
-                raise self._died(pid) from None
+                raise self._died(pid, job) from None
         results, error = [], None
-        for pid, _, replies in self.workers:
+        for pid, _, replies in busy:
             try:
                 ok, value = pickle.load(replies)
             except (EOFError, OSError, pickle.UnpicklingError):
-                raise self._died(pid) from None
+                raise self._died(pid, job) from None
             if ok:
-                results.extend(value)
+                results.append(value)
             elif error is None:
                 error = value
         return results, error
+
+    def run(self, fn, chunks, job: str, train: bool = False) -> list:
+        """Each worker's ``fn(net, *args)``, in order.  A worker's exception
+        is raised here with its type and message; a worker that dies raises
+        WorkerError naming ``job``, and the next call forks a fresh pool."""
+        global _pool
+        try:
+            results, error = self._run(fn, chunks, job, train)
+        except BaseException:
+            # a dead worker, or an interrupt that left replies unread
+            self.close(kill=True)
+            if _pool is self:
+                _pool = None
+            raise
+        if error is not None:
+            raise error
+        return results
+
+    def each(self, fn, items, job: str, named):
+        """``fn(net, *item)`` for each item, one item per worker, each with
+        its gradients in a zeroed slot: yields the results in item order,
+        each once its gradients are added into the ``grad`` of ``named``'s
+        parameters (a copy of the first).  With more items than workers they
+        run in rounds."""
+        for start in range(0, len(items), len(self.workers)):
+            chunk = items[start:start + len(self.workers)]
+            for result, slot in zip(self.run(fn, chunk, job, train=True), self.grads):
+                for (_, p), g in zip(named, self._visit(slot)):
+                    if p.grad is None:
+                        p.grad = g.copy()
+                    else:
+                        p.grad += g
+                yield result
+
+
+def acquire(net):
+    """The pool for ``net``'s layout, forked anew if there is none, or it has
+    another layout or other than ``worker_count()`` workers; None where no
+    pool can run."""
+    global _pool
+    count = worker_count()
+    blas = _openblas() if count > 1 else None
+    if blas is None:
+        return None
+    layout = _layout(net)
+    if _pool is None or len(_pool.workers) != count or _pool.layout != layout:
+        close()
+        blas[1]()                # no BLAS thread of this process is forked
+        _pool = _Pool(layout, net, count, blas)
+    return _pool
 
 
 def map_split(net, fn, batch: np.ndarray, items: tuple) -> list:
     """``fn(net, batch, items)``: a list with one result per item, in order.
 
     With a pool, ``items`` is cut into one contiguous chunk per worker and
-    the chunks' lists are joined in order.  A worker's exception is raised
-    here with its type and message; a worker that dies raises WorkerError,
-    and the next call forks a fresh pool.
+    the chunks' lists are joined in order; the workers read ``net``'s
+    tensor values, copied in when they differ from those they hold.
     """
-    global _pool
-    count = min(worker_count(), len(items))
-    blas = _openblas() if count > 1 else None
-    if blas is None:
+    pool = acquire(net) if len(items) > 1 else None
+    if pool is None:
         return fn(net, batch, items)
-    set_threads, shutdown = blas
-    # idle BLAS threads of this process would spin on a core a worker needs,
-    # and a fork copies none of them
-    shutdown()
-    key = _key(net)
-    if _pool is None or len(_pool.workers) != count or _pool.key != key:
-        close()
-        _pool = _Pool(key, net, count, set_threads)
-    n = len(items)
-    chunks = [items[i * n // count:(i + 1) * n // count] for i in range(count)]
-    pool = _pool
-    try:
-        results, error = pool.run(fn, batch, chunks)
-    except BaseException:
-        # a dead worker, or an interrupt that left replies unread
-        pool.close(kill=True)
-        _pool = None
-        raise
-    if error is not None:
-        raise error
-    return results
+    content = _content(net)
+    if pool.content != content:
+        pool.load(net)
+        pool.content = content
+    n, count = len(items), min(len(items), len(pool.workers))
+    chunks = [(batch, items[i * n // count:(i + 1) * n // count]) for i in range(count)]
+    return [result for part in pool.run(fn, chunks, "TTA") for result in part]
 
 
 def close():

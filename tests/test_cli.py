@@ -1,8 +1,9 @@
 """The `medlitenet eval` paths that run a model over a dataset directory,
 synth's samples, synth -> train -> infer -> eval end to end, train's
 override flags, a dataset whose mask does not fit its image, paths the
-filesystem refuses, the gradcheck and params commands, and every command
-line in README.md parsing with the real parser."""
+filesystem refuses, a dead TTA or training worker, the gradcheck and
+params commands, and every command line in README.md parsing with the real
+parser."""
 
 import re
 import shlex
@@ -190,7 +191,7 @@ def test_a_path_the_filesystem_refuses_exits_2(case, dataset, tmp_path, capsys):
 def test_a_dead_tta_worker_exits_4_without_a_traceback(tmp_path, capsys,
                                                        monkeypatch):
     def dead(*args):
-        raise WorkerError("TTA worker 123 died with exit status -9")
+        raise WorkerError("worker 123 died with exit status -9 during TTA")
 
     monkeypatch.setattr(cli, "predict_proba", dead)
     image = tmp_path / "a.ppm"
@@ -200,7 +201,20 @@ def test_a_dead_tta_worker_exits_4_without_a_traceback(tmp_path, capsys,
                      "--out", str(tmp_path / "out"), "--tta"])
     assert code == cli.WORKER_ERROR == 4
     assert capsys.readouterr().err == (
-        "worker failure: TTA worker 123 died with exit status -9\n")
+        "worker failure: worker 123 died with exit status -9 during TTA\n")
+
+
+def test_a_dead_training_worker_exits_4_without_a_traceback(dataset, tmp_path,
+                                                            capsys, monkeypatch):
+    message = "worker 123 died with exit status -9 during training, at optimizer step 2"
+
+    def dead(*args, **kwargs):
+        raise WorkerError(message)
+
+    monkeypatch.setattr(cli, "fit", dead)
+    code = cli.main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "run")])
+    assert code == cli.WORKER_ERROR
+    assert capsys.readouterr().err == f"worker failure: {message}\n"
 
 
 def test_gradcheck_model_scope_passes(capsys):

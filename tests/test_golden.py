@@ -5,7 +5,8 @@ and at two, against the SHA-256 prefixes pinned in ``golden.json``.
 
 A change that moves any of them by one bit fails here, naming the digests
 and the numpy and BLAS builds they were pinned with.  A change that means
-to move them re-pins the file with ``python tests/test_golden.py``.
+to move them re-pins the file with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import faulthandler
