@@ -61,31 +61,31 @@ def save_checkpoint(model: MedLiteNet, path, *, ema_shadow: Optional[dict] = Non
     """Serialize model (+ optional EMA / optimizer state) atomically.
 
     Tensors are written one at a time from their own buffers, so saving
-    allocates no more than the largest tensor needing a float32 cast.
+    allocates no more than the largest tensor needing a float32 cast.  Each
+    table's ``items()`` is read only as its tensors are written.
     """
     payload = {
         "config": model.config.to_dict(),
         "seed": model.seed,
         "meta": dict(meta or {}),
     }
-    entries = list(model.state_dict().items())
+    tables = [("", model.state_dict())]
     if ema_shadow is not None:
-        entries.extend(("ema/" + name, arr) for name, arr in ema_shadow.items())
+        tables.append(("ema/", ema_shadow))
     if optimizer_state is not None:
         payload["meta"]["optimizer_step"] = int(optimizer_state.get("step", 0))
-        for name, arr in optimizer_state.get("exp_avg", {}).items():
-            entries.append(("opt/exp_avg/" + name, arr))
-        for name, arr in optimizer_state.get("exp_avg_sq", {}).items():
-            entries.append(("opt/exp_avg_sq/" + name, arr))
+        tables.append(("opt/exp_avg/", optimizer_state.get("exp_avg", {})))
+        tables.append(("opt/exp_avg_sq/", optimizer_state.get("exp_avg_sq", {})))
 
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     def chunks():
         yield MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob))
         yield blob
-        yield struct.pack("<I", len(entries))
-        for name, arr in entries:
-            yield from _tensor_chunks(name, arr)
+        yield struct.pack("<I", sum(len(table) for _, table in tables))
+        for prefix, table in tables:
+            for name, arr in table.items():
+                yield from _tensor_chunks(prefix + name, arr)
 
     atomic_write(path, chunks())
 

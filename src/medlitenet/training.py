@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -64,12 +65,112 @@ class TrainConfig:
 # Optimizer, schedule, clipping, EMA
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 16          # elements: one chunk of every operand stays in cache
+
+
+def _chunks(arrays, count: int, scratch: dict):
+    """Matching chunks of the same-shaped ``arrays``, at most _CHUNK
+    elements each (the arrays whole if one is not contiguous), each chunk
+    followed by ``count`` scratch arrays like it, taken by dtype from
+    ``scratch`` and reused from one chunk to the next."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield (*arrays, *(np.empty_like(arrays[0]) for _ in range(count)))
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    dtype = flat[0].dtype
+    if dtype not in scratch:
+        scratch[dtype] = [np.empty(_CHUNK, dtype) for _ in range(count)]
+    for lo in range(0, flat[0].size, _CHUNK):
+        part = [f[lo:lo + _CHUNK] for f in flat]
+        yield (*part, *(buf[:part[0].size] for buf in scratch[dtype]))
+
+
+def _adamw_constants(lr: float, t: int, hyper: tuple) -> tuple:
+    """The scalars of AdamW's step ``t``; ``hyper`` is
+    ``(beta1, beta2, eps, weight_decay)``."""
+    beta1, beta2, eps, weight_decay = hyper
+    lr_wd = lr * weight_decay if weight_decay else None
+    return (1.0 - beta1, 1.0 - beta2, lr, lr_wd, 1.0 - beta1 ** t,
+            1.0 - beta2 ** t, eps)
+
+
+def _adamw_chunk(p, g, m, v, a, b, decay: bool, k: tuple):
+    """AdamW on one chunk, in place, through the scratch arrays ``a`` and
+    ``b``: ``m += (1-b1)*(g-m)``, ``v += (1-b2)*(g*g-v)``, ``p -= lr*wd*p``
+    where ``decay`` holds, and ``p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)``, each
+    op as written; ``k`` is ``_adamw_constants``."""
+    c1, c2, lr, lr_wd, bc1, bc2, eps = k
+    np.subtract(g, m, out=a)
+    a *= c1
+    m += a
+    np.multiply(g, g, out=a)
+    a -= v
+    a *= c2
+    v += a
+    if decay and lr_wd is not None:
+        np.multiply(p, lr_wd, out=a)
+        p -= a
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    p -= a
+
+
+def _ema_chunk(s, value, a, decay: float):
+    """``s <- d*s + (1-d)*value`` on one chunk, in place, through ``a``."""
+    np.multiply(value, 1.0 - decay, out=a)
+    s *= decay
+    s += a
+
+
+def _adamw(params, grads, exp_avgs, exp_avg_sqs, decays, lr: float, t: int,
+           hyper: tuple):
+    """AdamW's step ``t`` on each array of ``params``, chunk by chunk."""
+    k, scratch = _adamw_constants(lr, t, hyper), {}
+    for *arrays, decay in zip(params, grads, exp_avgs, exp_avg_sqs, decays):
+        for p, g, m, v, a, b in _chunks(arrays, 2, scratch):
+            _adamw_chunk(p, g, m, v, a, b, decay, k)
+
+
+def _sum_squares(grads) -> list:
+    """Each array's float64 sum of squares."""
+    return [float(np.sum(g.astype(np.float64) ** 2)) for g in grads]
+
+
+def _average(grads, micro_count: int) -> list:
+    """Divide each summed gradient by ``micro_count`` in place; returns each
+    one's float64 sum of squares."""
+    if micro_count > 1:
+        inv = 1.0 / micro_count
+        for g in grads:
+            g *= inv
+    return _sum_squares(grads)
+
+
+def _ema_update(shadows, values, decay: float):
+    """``shadow <- d*shadow + (1-d)*value`` for each pair, chunk by chunk."""
+    scratch = {}
+    for arrays in zip(shadows, values):
+        for s, value, a in _chunks(arrays, 1, scratch):
+            _ema_chunk(s, value, a, decay)
+
+
+def _non_finite(name: str, step: int) -> NumericalError:
+    return NumericalError(f"non-finite gradient in parameter {name!r}; step "
+                          f"{step} aborted")
+
+
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
 
     Normalization affine parameters (flagged ``decay_exempt``) are excluded
     from the decay term.  A non-finite (NaN or inf) gradient aborts the step
-    before any weight changes, naming the tensor.
+    before any weight changes, naming the tensor.  While ``fit`` keeps the
+    moments in a worker pool's shared tables, ``pool`` is that pool and
+    ``_apply_step`` steps them there, by shard.
     """
 
     def __init__(self, named_params: Sequence[tuple], betas=(0.9, 0.999),
@@ -79,30 +180,31 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
+        self.pool = None
         self.exp_avg = {name: np.zeros_like(p.data)
                         for name, p in self.named_params}
         self.exp_avg_sq = {name: np.zeros_like(p.data)
                            for name, p in self.named_params}
 
+    @property
+    def hyper(self) -> tuple:
+        return self.beta1, self.beta2, self.eps, self.weight_decay
+
+    @property
+    def decays(self) -> list:
+        """Whether each parameter takes weight decay, in order."""
+        return [not p.decay_exempt for _, p in self.named_params]
+
     def step(self, lr: float):
         for name, p in self.named_params:
             if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericalError(
-                    f"non-finite gradient in parameter {name!r}; step "
-                    f"{self.step_count + 1} aborted")
+                raise _non_finite(name, self.step_count + 1)
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.named_params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.exp_avg[name]
-            v = self.exp_avg_sq[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            if self.weight_decay and not p.decay_exempt:
-                p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        params = [p.data for _, p in self.named_params]
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                 for _, p in self.named_params]
+        _adamw(params, grads, self.exp_avg.values(), self.exp_avg_sq.values(),
+               self.decays, lr, self.step_count, self.hyper)
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -128,24 +230,34 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float
                                                            / total_epochs))
 
 
+def _norm_scale(sums, max_norm: float) -> tuple:
+    """The global L2 norm of tensors whose sums of squares are ``sums``,
+    added in order, and the scale that clips it to ``max_norm``: 1.0 when no
+    clipping is needed or the norm is not finite."""
+    total = 0.0
+    for s in sums:
+        total += s
+    norm = math.sqrt(total)
+    if not math.isfinite(norm) or norm <= max_norm or norm == 0.0:
+        return norm, 1.0
+    return norm, max_norm / norm
+
+
+def _scale(grads, scale: float):
+    if scale != 1.0:
+        for g in grads:
+            g *= scale
+
+
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
 
     Returns the applied scale (1.0 when no clipping was needed).  A non-finite
     norm leaves the gradients as they are, for AdamW to name the bad one.
     """
-    total = 0.0
-    grads = []
-    for p in params:
-        if p.grad is not None:
-            grads.append(p.grad)
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
-    if not math.isfinite(norm) or norm <= max_norm or norm == 0.0:
-        return 1.0
-    scale = max_norm / norm
-    for g in grads:
-        g *= scale
+    grads = [p.grad for p in params if p.grad is not None]
+    _, scale = _norm_scale(_sum_squares(grads), max_norm)
+    _scale(grads, scale)
     return scale
 
 
@@ -170,11 +282,9 @@ class EmaState:
 
     def update(self):
         self.num_updates += 1
-        d = self.decay
-        for name, value in self.model.state_dict().items():
-            s = self.shadow[name]
-            s *= d
-            s += (1.0 - d) * value
+        table = self.model.state_dict()
+        _ema_update([self.shadow[name] for name in table], list(table.values()),
+                    self.decay)
 
     def averaged(self) -> dict:
         """Bias-corrected evaluation tensors, keyed like ``state_dict()``."""
@@ -276,8 +386,11 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
 
     Gradients accumulate over ``config.accumulation`` micro-batches (an
     epoch's last group takes the rest) and are averaged before clipping and
-    the AdamW step; a group's micro-batches run on the forked workers of
-    ``workers``, one each, with the bits of one process.  ``max_steps`` (at
+    the AdamW step.  Where some group has two or more micro-batches and a
+    pool of forked workers (``workers``) can run, every group's micro-batches
+    run on the workers, one each, and so does each optimizer step, by shard
+    over shared memory (``_shared``), with the bits of one process; the model
+    owns private arrays again once ``fit`` returns or raises.  ``max_steps`` (at
     least 1) ends training after that many steps.  Validation runs each
     epoch with the EMA weights in eval mode; the best-val-Dice checkpoint is
     kept.  Each epoch's train and val rows (in
@@ -299,74 +412,84 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _append_csv(out / "metrics.csv", [CSV_HEADER], mode="w")
+    grouped = config.accumulation > 1 and len(train_samples) > config.batch_size
+    pool = workers.acquire(model) if grouped else None
 
     history = []
     step_losses = []
     best_epoch, best_val_dice = -1, -1.0
-    for epoch in range(config.epochs):
-        lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
-        rng = np.random.default_rng([config.seed, 7919, epoch])
-        order = rng.permutation(len(train_samples))
-        starts = range(0, len(order), config.batch_size)
+    with _shared(pool, named, opt, ema):
+        for epoch in range(config.epochs):
+            lr = cosine_lr(epoch, config.epochs, config.lr0, config.lr_min)
+            rng = np.random.default_rng([config.seed, 7919, epoch])
+            order = rng.permutation(len(train_samples))
+            starts = range(0, len(order), config.batch_size)
 
-        model.train()
-        tally = _Tally()
-        for first in range(0, len(starts), config.accumulation):
-            micro = []
-            for start in starts[first:first + config.accumulation]:
-                idx = order[start:start + config.batch_size]
-                batch = [train_samples[i] for i in idx]
-                if config.augment:
-                    batch = [augment(s, aug_cfg,
-                                     seed=config.seed + 1_000_003 * epoch)
-                             for s in batch]
-                micro.append(batch_arrays(batch))
-            job = f"training, at optimizer step {opt.step_count}"
-            steps = _micro_steps(model, named, micro, job)
-            for (_, masks), (loss_val, probs) in zip(micro, steps):
-                if not math.isfinite(loss_val):
-                    raise NumericalError(
-                        f"non-finite loss {loss_val} at optimizer "
-                        f"step {opt.step_count} (lr={lr:.3e})")
-                step_losses.append(loss_val)
-                tally.add(loss_val, probs, masks)
-            _apply_step(named, opt, ema, config, lr, len(micro))
+            model.train()
+            tally = _Tally()
+            for first in range(0, len(starts), config.accumulation):
+                micro = []
+                for start in starts[first:first + config.accumulation]:
+                    idx = order[start:start + config.batch_size]
+                    batch = [train_samples[i] for i in idx]
+                    if config.augment:
+                        batch = [augment(s, aug_cfg,
+                                         seed=config.seed + 1_000_003 * epoch)
+                                 for s in batch]
+                    micro.append(batch_arrays(batch))
+                steps = _micro_steps(model, pool, micro, _job(opt))
+                for (_, masks), (loss_val, probs) in zip(micro, steps):
+                    if not math.isfinite(loss_val):
+                        raise NumericalError(
+                            f"non-finite loss {loss_val} at optimizer "
+                            f"step {opt.step_count} (lr={lr:.3e})")
+                    step_losses.append(loss_val)
+                    tally.add(loss_val, probs, masks)
+                _apply_step(named, opt, ema, config, lr, len(micro))
+                if max_steps is not None and opt.step_count >= max_steps:
+                    break
+
+            train_row = {"epoch": epoch, "split": "train", **tally.row(), "lr": lr}
+            # no step runs between the last epoch's validation and last.ckpt,
+            # which keeps this table
+            averaged = ema.averaged()
+            with _SwappedWeights(model, averaged):
+                val_stats = evaluate(model, val_samples, config.batch_size)
+                if val_stats["dice"] > best_val_dice:
+                    best_val_dice = val_stats["dice"]
+                    best_epoch = epoch
+                    if out is not None:
+                        # the weights that actually scored best: the EMA
+                        # evaluation weights and their stats
+                        ckpt.save_checkpoint(
+                            model, out / "best.ckpt",
+                            meta={"epoch": epoch, "best_val_dice": best_val_dice})
+            val_row = {"epoch": epoch, "split": "val", "lr": lr, **val_stats}
+            history.extend([train_row, val_row])
+            if out is not None:
+                _append_csv(out / "metrics.csv", [
+                    [row["epoch"], row["split"], f"{row['loss']:.6f}",
+                     f"{row['dice']:.6f}", f"{row['iou']:.6f}", f"{row['lr']:.8e}"]
+                    for row in (train_row, val_row)])
+            if log_fn is not None:
+                log_fn(f"epoch {epoch:3d}  lr {lr:.2e}  "
+                       f"train loss {train_row['loss']:.4f} "
+                       f"dice {train_row['dice']:.4f}  "
+                       f"val loss {val_row['loss']:.4f} "
+                       f"dice {val_row['dice']:.4f}")
             if max_steps is not None and opt.step_count >= max_steps:
                 break
 
-        train_row = {"epoch": epoch, "split": "train", **tally.row(), "lr": lr}
-        with _SwappedWeights(model, ema.averaged()):
-            val_stats = evaluate(model, val_samples, config.batch_size)
-            if val_stats["dice"] > best_val_dice:
-                best_val_dice = val_stats["dice"]
-                best_epoch = epoch
-                if out is not None:
-                    # the weights that actually scored best: the EMA
-                    # evaluation weights and their stats
-                    ckpt.save_checkpoint(
-                        model, out / "best.ckpt",
-                        meta={"epoch": epoch, "best_val_dice": best_val_dice})
-        val_row = {"epoch": epoch, "split": "val", "lr": lr, **val_stats}
-        history.extend([train_row, val_row])
-        if out is not None:
-            _append_csv(out / "metrics.csv", [
-                [row["epoch"], row["split"], f"{row['loss']:.6f}",
-                 f"{row['dice']:.6f}", f"{row['iou']:.6f}", f"{row['lr']:.8e}"]
-                for row in (train_row, val_row)])
-        if log_fn is not None:
-            log_fn(f"epoch {epoch:3d}  lr {lr:.2e}  "
-                   f"train loss {train_row['loss']:.4f} "
-                   f"dice {train_row['dice']:.4f}  "
-                   f"val loss {val_row['loss']:.4f} "
-                   f"dice {val_row['dice']:.4f}")
-        if max_steps is not None and opt.step_count >= max_steps:
-            break
-
     if out is not None:
+        state = opt.state_dict()
+        if pool is not None:
+            # the moments stay shared; this process reads them once, here
+            for moment in ("exp_avg", "exp_avg_sq"):
+                state[moment] = workers.Visited(pool, state[moment])
         # config.epochs >= 1, so ``epoch`` is the last epoch that ran
         ckpt.save_checkpoint(
-            model, out / "last.ckpt", ema_shadow=ema.averaged(),
-            optimizer_state=opt.state_dict(),
+            model, out / "last.ckpt", ema_shadow=averaged,
+            optimizer_state=state,
             meta={"epoch": epoch, "best_val_dice": best_val_dice})
     model.eval()
     return FitResult(history=history, best_epoch=best_epoch,
@@ -374,6 +497,34 @@ def fit(model: MedLiteNet, train_samples: Sequence[SegmentationSample],
                      best_checkpoint=str(out / "best.ckpt") if out else None,
                      last_checkpoint=str(out / "last.ckpt") if out else None,
                      step_losses=step_losses)
+
+
+def _job(opt) -> str:
+    return f"training, at optimizer step {opt.step_count}"
+
+
+@contextmanager
+def _shared(pool, named, opt, ema):
+    """With a pool: for the block, the parameters, both AdamW moments and
+    the parameters' EMA shadow are views of the pool's shared tables, the
+    moments and shadow zeroed by shard, and ``ema.averaged()`` reads the
+    shadow through ``workers.Visited``; afterwards the parameters are private
+    arrays again and no gradient points into the tables."""
+    if pool is None:
+        yield
+        return
+    try:
+        pool.bind(named)
+        pool.shards(_zero_shard, _job(opt))
+        opt.exp_avg = dict(pool.tables["exp_avg"])
+        opt.exp_avg_sq = dict(pool.tables["exp_avg_sq"])
+        ema.shadow = workers.Visited(pool, {**ema.shadow, **pool.tables["shadow"]})
+        opt.pool = pool
+        yield
+    finally:
+        opt.pool = None
+        opt.zero_grad()
+        pool.unbind(named)
 
 
 def _micro_step(net, images, masks) -> tuple:
@@ -400,41 +551,105 @@ def _worker_step(net, images, masks) -> tuple:
     return (*_micro_step(net, images, masks), [state.log for state in states])
 
 
-def _micro_steps(model, named, micro, job):
+def _micro_steps(model, pool, micro, job):
     """``(loss, probs)`` of each ``(images, masks)`` micro-batch of one
-    accumulation group, in order, with their gradients summed into each
-    parameter's ``grad`` in that order.
+    accumulation group, in order, with their gradients summed in that order.
 
-    A group of one, or one where no worker pool can run, runs here.
-    Otherwise the model's state goes to the workers' shared memory and each
-    micro-batch runs on a worker, which returns its BatchNorm updates, to be
-    replayed here in order, and leaves 0 + G in its zeroed gradient slot.
-    Every parameter takes one gradient per backward, so (0 + G1) + G2 + ...
-    is the sum a serial backward builds.
+    Without a pool this runs here and the sum is each parameter's ``grad``.
+    With one, each micro-batch runs on a worker, which returns its BatchNorm
+    updates, to be replayed here in order, and leaves 0 + G in its zeroed
+    gradient slot, and the workers sum the slots into the pool's table
+    "grad".  Every parameter takes one gradient per backward, so
+    (0 + G1) + G2 + ... is the sum a serial backward builds.
     """
-    pool = workers.acquire(model) if len(micro) > 1 else None
     if pool is None:
         for images, masks in micro:
             yield _micro_step(model, images, masks)
         return
-    pool.load(model, train=True)
-    for loss_val, probs, logs in pool.each(_worker_step, micro, job, named):
+    for loss_val, probs, logs in pool.each(_worker_step, micro, job):
         for (_, state), log in zip(model.named_states(), logs):
             for update in log:
                 state.update(*update)
         yield loss_val, probs
 
 
+def _clip_scale(named, sums, max_norm: float, step: int) -> float:
+    """The scale that clips the averaged gradients of ``named``'s
+    parameters, whose sums of squares are ``sums``, to ``max_norm``; a
+    non-finite norm with a non-finite gradient names the first one, and
+    ``step`` is aborted before any weight moves."""
+    norm, scale = _norm_scale(sums, max_norm)
+    if not math.isfinite(norm):
+        for name, p in named:
+            if not np.isfinite(p.grad).all():
+                raise _non_finite(name, step)
+    return scale
+
+
 def _apply_step(named, opt, ema, config, lr, micro_count):
-    if micro_count > 1:
-        inv = 1.0 / micro_count
-        for _, p in named:
-            if p.grad is not None:
-                p.grad *= inv
-    clip_grad_norm([p for _, p in named], config.clip_norm)
+    """Average the summed gradients of ``micro_count`` micro-batches, clip
+    them, step AdamW and then the EMA: here over every tensor, or by shard
+    when the moments live in ``opt.pool``'s shared tables."""
+    if opt.pool is not None:
+        _step_by_shard(opt.pool, named, opt, ema, config, lr, micro_count)
+        return
+    for _, p in named:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+    grads = [p.grad for _, p in named]
+    sums = _average(grads, micro_count)
+    _scale(grads, _clip_scale(named, sums, config.clip_norm, opt.step_count + 1))
     opt.step(lr=lr)
     ema.update()
     opt.zero_grad()
+
+
+def _step_by_shard(pool, named, opt, ema, config, lr, micro_count):
+    """``_apply_step`` on the pool: each worker averages its run of the
+    summed table "grad" and returns its sums of squares; this process adds
+    them in order, as ``clip_grad_norm`` does, and names a non-finite
+    gradient; then each worker clips its run, steps AdamW and the EMA of its
+    parameters, and this process steps the EMA of the BatchNorm stats."""
+    job = _job(opt)
+    sums = [s for part in pool.shards(_average_shard, job, micro_count) for s in part]
+    for name, p in named:
+        p.grad = pool.tables["grad"][name]
+    scale = _clip_scale(named, sums, config.clip_norm, opt.step_count + 1)
+    opt.step_count += 1
+    pool.shards(_step_shard, job, scale, lr, opt.step_count, opt.hyper,
+                opt.decays, ema.decay)
+    ema.num_updates += 1
+    stats = [(name, value) for name, value in ema.model.state_dict().items()
+             if name not in pool.tables["param"]]
+    _ema_update([ema.shadow[name] for name, _ in stats],
+                [value for _, value in stats], ema.decay)
+    opt.zero_grad()
+
+
+# jobs a worker runs on its shard of the fit's shared tables (_Pool.shard)
+
+def _zero_shard(shard):
+    for a in (*shard.exp_avg, *shard.exp_avg_sq, *shard.shadow):
+        a.fill(0)
+
+
+def _average_shard(shard, micro_count):
+    return _average(shard.grad, micro_count)
+
+
+def _step_shard(shard, scale, lr, t, hyper, decays, ema_decay):
+    """Clip, AdamW and the EMA of the parameters over the shard, all three
+    on one chunk before the next, each element through the ops of
+    ``_scale``, ``_adamw`` and ``_ema_update`` in turn."""
+    k, scratch = _adamw_constants(lr, t, hyper), {}
+    tensors = zip(shard.param, shard.grad, shard.exp_avg, shard.exp_avg_sq,
+                  shard.shadow, decays[shard.run])
+    for *arrays, decay in tensors:
+        for p, g, m, v, s, a, b in _chunks(arrays, 2, scratch):
+            if scale != 1.0:
+                g *= scale
+            _adamw_chunk(p, g, m, v, a, b, decay, k)
+            _ema_chunk(s, p, a, ema_decay)
 
 
 # ---------------------------------------------------------------------------

@@ -67,21 +67,22 @@ def micro_fit_digests(out: Path) -> dict:
 
 
 def small_step_digests() -> dict:
-    """The averaged parameter gradients that reach clipping in the first
-    step of a small@128 fit: two micro-batches of 4 images, seed 3."""
+    """The averaged parameter gradients whose clip scale is taken in the
+    first step of a small@128 fit: two micro-batches of 4 images, seed 3.
+    ``training._clip_scale`` runs in this process on both the in-process and
+    the sharded step, where ``named``'s gradients are the shared table."""
     train, val = _samples(8, 1, 128, seed=3)
     config = training.TrainConfig(batch_size=4, accumulation=2, epochs=1, seed=3)
     net = build_model(ModelConfig.small(128), seed=3)
     seen = []
-    clip = training.clip_grad_norm
+    clip_scale = training._clip_scale
 
-    def spy(params, max_norm):
-        params = list(params)
-        seen.append(_digest(*(b"none" if p.grad is None else p.grad for p in params)))
-        return clip(params, max_norm)
+    def spy(named, sums, max_norm, step):
+        seen.append(_digest(*(p.grad for _, p in named)))
+        return clip_scale(named, sums, max_norm, step)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "clip_grad_norm", spy)
+        mp.setattr(training, "_clip_scale", spy)
         training.fit(net, train, val, config, max_steps=1)
     assert len(seen) == 1
     return {"small128.step_grads": seen[0]}

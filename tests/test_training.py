@@ -1,6 +1,8 @@
 """AdamW, the cosine schedule, clipping and EMA against hand values, and the
-EMA's shadow of BatchNorm stats; AdamW's guard against non-finite gradients,
-which names the bad parameter through a whole optimizer step; the lifetime
+EMA's shadow of BatchNorm stats; the chunked AdamW, EMA and sum-of-squares
+arithmetic against the per-tensor expressions, bitwise; AdamW's guard
+against non-finite gradients, which names the bad parameter through a whole
+optimizer step; the lifetime
 of the tape in ``fit`` and in backward; ``fit`` repeating itself bitwise; its
 accumulation groups, ``max_steps``, the train row of a cut epoch, the
 ``metrics.csv`` it writes and the inputs that ``fit`` and ``evaluate``
@@ -190,6 +192,39 @@ def test_adamw_matches_closed_form_with_decay_exemption():
                        rtol=1e-12, atol=0)
     assert np.allclose(n.data, _adamw_closed_form(n0, gn, lr, b1, b2, eps, 0.0),
                        rtol=1e-12, atol=0)
+
+
+def test_chunked_step_arithmetic_is_bitwise_the_per_tensor_expressions(monkeypatch):
+    # chunks of 1000 elements: the 2500-element tensor spans three, and the
+    # transposed one is not contiguous, so it goes whole
+    monkeypatch.setattr(training, "_CHUNK", 1000)
+    rng = np.random.default_rng(0)
+    shapes = [(2500,), (7, 3), (40, 30)]
+    params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    params[2] = params[2].T
+    grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+    want = [p.copy() for p in params]
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    wm, wv = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    decays, (b1, b2, eps, wd), lr = [True, False, True], (0.9, 0.999, 1e-8, 0.01), 1e-3
+    for t in (1, 2, 3):
+        training._adamw(params, grads, m, v, decays, lr, t, (b1, b2, eps, wd))
+        for p, g, mt, vt, decay in zip(want, grads, wm, wv, decays):
+            mt += (1.0 - b1) * (g - mt)
+            vt += (1.0 - b2) * (g * g - vt)
+            if decay:
+                p -= lr * wd * p
+            p -= lr * (mt / (1.0 - b1 ** t)) / (np.sqrt(vt / (1.0 - b2 ** t)) + eps)
+    for got, ref in zip((*params, *m, *v), (*want, *wm, *wv)):
+        assert got.tobytes() == ref.tobytes()
+    shadows, ref = [np.ones_like(p) for p in params], [np.ones_like(p) for p in params]
+    training._ema_update(shadows, params, 0.99)
+    for s, r, value in zip(shadows, ref, params):
+        r *= 0.99
+        r += (1.0 - 0.99) * value
+        assert s.tobytes() == r.tobytes()
+    assert training._sum_squares(grads) == [float(np.sum(g.astype(np.float64) ** 2))
+                                            for g in grads]
 
 
 def test_cosine_lr_hand_values_and_range():

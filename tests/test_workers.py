@@ -2,7 +2,9 @@
 in-process views, fed the predictor's new values without a new fork, errors
 raised in the parent with the in-process type and text, a dead worker
 reported as one typed error naming its job, one fork for a fit, a TTA and
-another fit, and no worker left running."""
+another fit, micro-batch rounds and the sharded optimizer step bitwise equal
+to one process, a model that owns its arrays after a fit however it ends,
+and no worker left running."""
 
 import faulthandler
 import os
@@ -177,7 +179,9 @@ def test_a_non_finite_loss_on_a_worker_raises_the_in_process_error():
                         messages[0])
 
 
-def test_a_non_finite_gradient_from_a_worker_is_named_by_its_parameter(monkeypatch):
+def _poison(monkeypatch):
+    """Make every backward leave a NaN in head.bias's gradient; a pool
+    forked after this runs it too."""
     real = training._micro_step
 
     def poisoned(net, images, masks):
@@ -185,8 +189,25 @@ def test_a_non_finite_gradient_from_a_worker_is_named_by_its_parameter(monkeypat
         dict(net.named_parameters())["head.bias"].grad[0] = np.nan
         return out
 
-    # forked after this, so the workers run it too
     monkeypatch.setattr(training, "_micro_step", poisoned)
+
+
+def _kill_second_call(monkeypatch):
+    """Make each worker SIGKILL itself at its second micro-batch."""
+    parent, real, served = os.getpid(), training._micro_step, []
+
+    def second_call_dies(net, images, masks):
+        # ``served`` is each worker's own copy
+        if os.getpid() != parent and served:
+            os.kill(os.getpid(), signal.SIGKILL)
+        served.append(1)
+        return real(net, images, masks)
+
+    monkeypatch.setattr(training, "_micro_step", second_call_dies)
+
+
+def test_a_non_finite_gradient_from_a_worker_is_named_by_its_parameter(monkeypatch):
+    _poison(monkeypatch)
     messages = [_fit_error(NumericalError, count) for count in (1, 2)]
     assert messages == ["non-finite gradient in parameter 'head.bias'; step 1 aborted"] * 2
 
@@ -201,17 +222,8 @@ def test_a_shape_error_on_a_worker_keeps_its_type_and_message():
 
 
 def test_a_training_worker_killed_mid_fit_raises_and_the_next_fit_forks_afresh():
-    parent, real, served = os.getpid(), training._micro_step, []
-
-    def second_call_dies(net, images, masks):
-        # ``served`` is each worker's own copy
-        if os.getpid() != parent and served:
-            os.kill(os.getpid(), signal.SIGKILL)
-        served.append(1)
-        return real(net, images, masks)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_micro_step", second_call_dies)
+        _kill_second_call(mp)
         with pytest.raises(workers.WorkerError, match=r"worker \d+ died with exit "
                            r"status -9 during training, at optimizer step 1$"):
             _fit()
@@ -239,6 +251,70 @@ def test_fit_then_tta_on_its_checkpoint_then_fit_again_fork_once(tmp_path, monke
     assert len(forks) == 1
     # the first fit's model holds its own tensors, which the second left alone
     assert all(np.array_equal(a, kept[name]) for name, a in first.state_dict().items())
+
+
+def test_parameter_runs_split_by_bytes_and_cover_every_tensor():
+    assert workers._runs([100, 1, 1, 100], 2) == [slice(0, 2), slice(2, 4)]
+    assert workers._runs([400, 1, 1], 2) == [slice(0, 1), slice(1, 3)]
+    assert workers._runs([5], 3) == [slice(0, 0), slice(0, 1), slice(1, 1)]
+    assert workers._runs([], 2) == [slice(0, 0), slice(0, 0)]
+
+
+def test_rounds_and_a_tail_group_match_one_process(tmp_path, monkeypatch):
+    # 8 samples in batches of 2, accumulated in threes: at two workers, a
+    # group of three runs in rounds of two and one, then a tail group of
+    # one; three workers, more than most test hosts have cores, split the
+    # step three ways
+    rounds, real_run = {}, workers._Pool.run
+
+    def run(self, fn, chunks, job, mode="tta"):
+        if mode == "train":
+            rounds.setdefault(len(self.workers), []).append(len(chunks))
+        return real_run(self, fn, chunks, job, mode)
+
+    monkeypatch.setattr(workers._Pool, "run", run)
+    found = []
+    for count in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workers, "worker_count", lambda: count)
+            result = _fit(out=tmp_path / str(count), accumulation=3, epochs=2)
+        found.append((result.step_losses,
+                      (tmp_path / str(count) / "last.ckpt").read_bytes()))
+    assert rounds == {2: [2, 1, 1] * 2, 3: [3, 1] * 2}
+    assert len(found[0][0]) == 8
+    assert found[0] == found[1] == found[2]
+
+
+def _pools(monkeypatch) -> list:
+    """Every _Pool constructed from here on."""
+    made = []
+
+    class Recorded(workers._Pool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(workers, "_Pool", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("ending, error", [
+    (None, None), (_poison, NumericalError), (_kill_second_call, workers.WorkerError)],
+    ids=["returned", "non_finite_gradient", "dead_worker"])
+def test_the_model_owns_its_arrays_after_a_fit(monkeypatch, ending, error):
+    made = _pools(monkeypatch)
+    if ending is not None:
+        ending(monkeypatch)
+    net = MedLiteNet(ModelConfig.micro(32), seed=0)
+    if error is None:
+        _fit(net)
+    else:
+        with pytest.raises(error):
+            _fit(net)
+    pool, = made
+    shared = np.frombuffer(pool.memory, np.uint8)
+    assert not any(np.shares_memory(a, shared) for a in net.state_dict().values())
+    assert all(p.grad is None for _, p in net.named_parameters())
 
 
 SCRIPT = """
